@@ -25,7 +25,6 @@ from .network import (
     pair_indices,
     pair_offset,
     random_balanced_matrix,
-    support_violations,
 )
 from .estimation import (
     FitResult,
@@ -108,7 +107,6 @@ __all__ = [
     "run_mc_study",
     "solve_degree_params",
     "standard_errors",
-    "support_violations",
     "write_edges",
     "write_pair_covariates",
 ]

@@ -1,7 +1,8 @@
 """Command line front end: fit, simulate, and mc-study subcommands.
 
-Exit codes: 0 on success, 1 on data or usage errors (one-line message on
-stderr), 2 on solver non-convergence (iteration trace emitted as JSON).
+Exit codes: 0 on success, 1 on data, design, usage or file errors (one-line
+message on stderr), 2 on solver non-convergence (iteration trace emitted as
+JSON).
 """
 
 import argparse
@@ -9,7 +10,7 @@ import json
 import sys
 
 from . import dataio
-from .errors import DataError, NonConvergenceError
+from .errors import DataError, NonConvergenceError, SingularDesignError
 from .estimation import SolverConfig, fit
 from .network import NetworkData
 from .simulation import CovariateRule, GenSpec, generate_with_truth, run_mc_study
@@ -188,30 +189,26 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "fit":
-            return _run_fit(args)
-        if args.subcommand == "simulate":
-            return _run_simulate(args)
-        return _run_mc_study(args)
-    except _UsageError as exc:
+        try:
+            if args.subcommand == "fit":
+                return _run_fit(args)
+            if args.subcommand == "simulate":
+                return _run_simulate(args)
+            return _run_mc_study(args)
+        except NonConvergenceError as exc:
+            payload = {"error": str(exc), "trace": exc.trace}
+            if args.out:
+                with open(args.out, "w") as handle:
+                    json.dump(payload, handle, indent=2)
+                    handle.write("\n")
+            print(f"error: {exc}", file=sys.stderr)
+            if not args.out:
+                json.dump(payload, sys.stderr, indent=2)
+                sys.stderr.write("\n")
+            return 2
+    except (_UsageError, DataError, SingularDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        trace = getattr(exc, "trace", None) or []
-        payload = {"error": str(exc), "trace": trace}
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-        else:
-            json.dump(payload, sys.stderr, indent=2)
-            sys.stderr.write("\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -10,12 +10,15 @@ incidental-parameter bias correction and for sandwich standard errors.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError
 from .families import get_family, initial_degree_params
-from .network import check_diagonally_balanced, covariate_magnitude
+# check_diagonally_balanced stays importable from this module, where
+# bench/test_bench.py looks it up; fit reads m_n and M_n off the slopes.
+from .network import check_diagonally_balanced, covariate_magnitude  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,16 @@ def covariate_residuals(data, family, beta, gamma):
     return data.covariates.T @ (data.pair_weights - mu)
 
 
+def _jacobian_from_slopes(data, slope):
+    """Dense degree Jacobian assembled from the per-pair mean slopes."""
+    n = data.n
+    v = np.zeros((n, n))
+    v[data.rows, data.cols] = -slope
+    v[data.cols, data.rows] = -slope
+    v[np.diag_indices(n)] = -data.node_pair_sums(slope)
+    return v
+
+
 def degree_jacobian(data, family, beta, gamma):
     """Jacobian of the degree residuals in the degree parameters.
 
@@ -101,13 +114,7 @@ def degree_jacobian(data, family, beta, gamma):
     with positive entries.
     """
     family = get_family(family)
-    slope = family.mean_slope(_pair_index(data, beta, gamma))
-    n = data.n
-    v = np.zeros((n, n))
-    v[data.rows, data.cols] = -slope
-    v[data.cols, data.rows] = -slope
-    v[np.diag_indices(n)] = -data.node_pair_sums(slope)
-    return v
+    return _jacobian_from_slopes(data, family.mean_slope(_pair_index(data, beta, gamma)))
 
 
 def check_interior_degrees(data, family):
@@ -129,14 +136,12 @@ def check_interior_degrees(data, family):
         )
 
 
-def solve_degree_params(data, family, gamma, config=None, beta_init=None, method="preconditioned"):
+def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     """Solve the degree equations at fixed homophily coefficients.
 
-    ``method="preconditioned"`` (any family) takes damped quasi-Newton steps
-    beta += damping * F / v, where v holds the per-node sums of the mean
-    slopes, i.e. the diagonal-inverse approximation to the Jacobian.
-    ``method="log_ratio"`` (logistic only) is the classical log-ratio fixed
-    point for degree-parameter models; both land on the same root.
+    Takes damped quasi-Newton steps beta += damping * F / v, where v holds
+    the per-node sums of the mean slopes, i.e. the diagonal-inverse
+    approximation to the Jacobian.
 
     Returns (beta, iterations, residual_norm) with the residual in the
     infinity norm at or below ``config.tol_f``.
@@ -153,11 +158,6 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None, method
     else:
         beta = np.array(beta_init, dtype=float)
 
-    if method == "log_ratio" and family.name != "logistic":
-        raise DataError("the log-ratio update applies to the logistic family only")
-    if method not in ("preconditioned", "log_ratio"):
-        raise DataError(f"unknown degree solver method {method!r}")
-
     residual = np.inf
     for it in range(1, config.max_inner_beta + 1):
         pi = beta[data.rows] + beta[data.cols] + zg
@@ -166,23 +166,14 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None, method
         residual = float(np.abs(f).max())
         if residual <= config.tol_f:
             return beta, it, residual
-        if method == "preconditioned":
-            v = data.node_pair_sums(family.mean_slope(pi))
-            if not np.all(v > 0.0):
-                raise NonConvergenceError(
-                    "degree solver diverged: mean-slope row sums underflowed "
-                    f"to zero (last residual {residual:.3e})",
-                    residual=residual,
-                )
-            beta = beta + config.damping * f / v
-        else:
-            # beta_i <- log d_i - log sum_{j != i} exp(beta_j + zg_ij - log(1 + e^pi))
-            log_term = -np.logaddexp(0.0, pi)
-            contrib_rows = np.exp(beta[data.cols] + zg + log_term)
-            contrib_cols = np.exp(beta[data.rows] + zg + log_term)
-            totals = np.bincount(data.rows, weights=contrib_rows, minlength=data.n)
-            totals += np.bincount(data.cols, weights=contrib_cols, minlength=data.n)
-            beta = np.log(d) - np.log(totals)
+        v = data.node_pair_sums(family.mean_slope(pi))
+        if not np.all(v > 0.0):
+            raise NonConvergenceError(
+                "degree solver diverged: mean-slope row sums underflowed "
+                f"to zero (last residual {residual:.3e})",
+                residual=residual,
+            )
+        beta = beta + config.damping * f / v
         if not np.all(np.isfinite(beta)):
             raise NonConvergenceError(
                 f"degree solver diverged to non-finite values "
@@ -203,25 +194,35 @@ def profile_residuals(data, family, gamma, config=None, beta_init=None):
     return covariate_residuals(data, family, beta, gamma)
 
 
-def _profile_jacobian_scaled(data, family, beta, gamma):
-    """Profile Jacobian plus the magnitude of its unprofiled first block.
+class _Curvature(NamedTuple):
+    """The curvature of the moment system at (beta, gamma), evaluated once.
 
-    The scale is used to recognize designs that the degree effects absorb
-    completely: there the two blocks cancel and H collapses to rounding
-    noise, which a raw solve would not flag as singular.
+    ``solved`` is V^{-1} dF/dgamma for the dense degree Jacobian V, ``h``
+    the profile Jacobian built from it, and ``scale`` the magnitude of H's
+    unprofiled first block.  The scale recognizes designs that the degree
+    effects absorb completely: there the two blocks cancel and H collapses
+    to rounding noise, which a raw solve would not flag as singular.
     """
-    family = get_family(family)
+
+    pi: np.ndarray
+    slope: np.ndarray
+    solved: np.ndarray
+    h: np.ndarray
+    scale: float
+
+
+def _curvature(data, family, beta, gamma):
     z = data.covariates
-    slope = family.mean_slope(_pair_index(data, beta, gamma))
+    pi = _pair_index(data, beta, gamma)
+    slope = family.mean_slope(pi)
     dq_dgamma = -(z * slope[:, None]).T @ z
     df_dgamma = -data.node_pair_sums(z * slope[:, None])
-    v = degree_jacobian(data, family, beta, gamma)
     try:
-        solved = np.linalg.solve(v, df_dgamma)
+        solved = np.linalg.solve(_jacobian_from_slopes(data, slope), df_dgamma)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
     h = dq_dgamma - df_dgamma.T @ solved
-    return h, float(np.abs(dq_dgamma).max())
+    return _Curvature(pi, slope, solved, h, float(np.abs(dq_dgamma).max()))
 
 
 def profile_jacobian(data, family, beta, gamma):
@@ -232,7 +233,7 @@ def profile_jacobian(data, family, beta, gamma):
     approximation, because this matrix feeds bias correction and standard
     errors.
     """
-    return _profile_jacobian_scaled(data, family, beta, gamma)[0]
+    return _curvature(data, get_family(family), beta, gamma).h
 
 
 def _assert_profile_invertible(h, scale):
@@ -256,6 +257,16 @@ def _assert_profile_invertible(h, scale):
         )
 
 
+def _homophily_bias(data, family, pi, slope):
+    _, m2, _ = family.mean_derivs(pi)
+    slope_sums = data.node_pair_sums(slope)
+    if np.any(slope_sums <= 0.0):
+        raise DataError("mean-slope row sums must be strictly positive")
+    weighted = data.node_pair_sums(data.covariates * m2[:, None])
+    n_ordered = data.n * (data.n - 1)
+    return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
+
+
 def homophily_bias(data, family, beta, gamma):
     """Leading incidental-parameter bias of the homophily coefficients.
 
@@ -264,14 +275,8 @@ def homophily_bias(data, family, beta, gamma):
     N = n (n - 1) ordered pairs.
     """
     family = get_family(family)
-    z = data.covariates
-    _, m2, _ = family.mean_derivs(_pair_index(data, beta, gamma))
-    slope_sums = data.node_pair_sums(family.mean_slope(_pair_index(data, beta, gamma)))
-    if np.any(slope_sums <= 0.0):
-        raise DataError("mean-slope row sums must be strictly positive")
-    weighted = data.node_pair_sums(z * m2[:, None])
-    n_ordered = data.n * (data.n - 1)
-    return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
+    pi = _pair_index(data, beta, gamma)
+    return _homophily_bias(data, family, pi, family.mean_slope(pi))
 
 
 def bias_correct(gamma, profile_hessian, bias, n):
@@ -284,6 +289,24 @@ def bias_correct(gamma, profile_hessian, bias, n):
     return np.asarray(gamma, dtype=float) - np.sqrt(n_ordered) * step
 
 
+def _standard_errors(data, family, curv):
+    var = family.variance(curv.pi)
+    se_beta = np.sqrt(data.node_pair_sums(var)) / data.node_pair_sums(curv.slope)
+
+    z = data.covariates
+    resid = data.pair_weights - family.mean(curv.pi)
+    # concentrated score per pair: z r - (dQ/dbeta) V^{-1} (r T_ij), where
+    # V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
+    proj = curv.solved
+    score = z * resid[:, None] - resid[:, None] * (proj[data.rows] + proj[data.cols])
+    omega_sum = score.T @ score
+    try:
+        cov_gamma = np.linalg.solve(curv.h, np.linalg.solve(curv.h, omega_sum).T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
+    return se_beta, np.sqrt(np.diag(cov_gamma))
+
+
 def standard_errors(data, family, beta, gamma):
     """Plug-in standard errors at the fitted parameters.
 
@@ -293,43 +316,19 @@ def standard_errors(data, family, beta, gamma):
     per-pair scores.  Valid under independent dyads.
     """
     family = get_family(family)
-    pi = _pair_index(data, beta, gamma)
-    slope = family.mean_slope(pi)
-    var = family.variance(pi)
-    v_ii = data.node_pair_sums(slope)
-    se_beta = np.sqrt(data.node_pair_sums(var)) / v_ii
-
-    z = data.covariates
-    resid = data.pair_weights - family.mean(pi)
-    v = degree_jacobian(data, family, beta, gamma)
-    df_dgamma = -data.node_pair_sums(z * slope[:, None])
-    try:
-        # V^{-1} (dQ/dbeta)^T, using dQ/dbeta = (dF/dgamma)^T and V = V^T
-        proj = np.linalg.solve(v, df_dgamma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
-    # concentrated score per pair: z r - (dQ/dbeta) V^{-1} (r T_ij)
-    score = z * resid[:, None] - resid[:, None] * (proj[data.rows] + proj[data.cols])
-    omega_sum = score.T @ score
-    h, scale = _profile_jacobian_scaled(data, family, beta, gamma)
-    _assert_profile_invertible(h, scale)
-    try:
-        cov_gamma = np.linalg.solve(h, np.linalg.solve(h, omega_sum).T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
-    se_gamma = np.sqrt(np.diag(cov_gamma))
-    return se_beta, se_gamma
+    curv = _curvature(data, family, beta, gamma)
+    _assert_profile_invertible(curv.h, curv.scale)
+    return _standard_errors(data, family, curv)
 
 
-def _diagnostics(data, family, beta, gamma, profile_hessian):
-    neg_v = -degree_jacobian(data, family, beta, gamma)
-    balance = check_diagonally_balanced(neg_v)
+def _diagnostics(data, curv):
     n_ordered = data.n * (data.n - 1)
-    hbar = profile_hessian / n_ordered
+    hbar = curv.h / n_ordered
     eigvals = np.linalg.eigvalsh(0.5 * (hbar + hbar.T))
     return {
-        "m_n": balance.min_offdiag,
-        "M_n": balance.max_offdiag,
+        # extreme off-diagonal entries of the balanced matrix -V
+        "m_n": float(curv.slope.min()),
+        "M_n": float(curv.slope.max()),
         "kappa_n": covariate_magnitude(data),
         # invertibility margin: magnitude of the eigenvalue closest to zero
         "lambda_min_Hbar": float(np.abs(eigvals).min()),
@@ -340,15 +339,16 @@ def fit(data, family, config=None, init=None):
     """Fit degree and homophily parameters by alternating moment matching.
 
     Each outer pass re-solves the degree equations at the current
-    coefficients (warm-started), then applies one Newton step on the
-    profiled covariate residuals.  Convergence means both residual norms
-    are at or below their tolerances; the returned result carries the
-    bias-corrected coefficients, standard errors, and solver diagnostics.
+    coefficients (warm-started), evaluates the curvature once, and applies
+    one Newton step on the profiled covariate residuals.  Convergence means
+    both residual norms are at or below their tolerances; the curvature of
+    the converged pass then yields the bias-corrected coefficients, the
+    standard errors, and the solver diagnostics.
 
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and
     ``NonConvergenceError`` (with the iteration trace attached) when the
-    outer cap is reached.
+    outer cap is reached or an inner degree solve fails.
     """
     family = get_family(family)
     config = config or SolverConfig()
@@ -362,13 +362,17 @@ def fit(data, family, config=None, init=None):
         gamma = np.zeros(data.n_covariates)
 
     trace = []
-    converged = False
-    f_norm = q_norm = np.inf
-    outer = 0
     for outer in range(1, config.max_outer + 1):
-        beta, _, f_norm = solve_degree_params(
-            data, family, gamma, config, beta_init=beta
-        )
+        try:
+            beta, _, f_norm = solve_degree_params(
+                data, family, gamma, config, beta_init=beta
+            )
+        except NonConvergenceError as exc:
+            trace.append(
+                {"outer": outer, "residual_degree": exc.residual, "gamma": gamma.tolist()}
+            )
+            exc.trace = trace
+            raise
         qc = covariate_residuals(data, family, beta, gamma)
         q_norm = float(np.abs(qc).max())
         trace.append(
@@ -379,13 +383,12 @@ def fit(data, family, config=None, init=None):
                 "gamma": gamma.tolist(),
             }
         )
+        curv = _curvature(data, family, beta, gamma)
+        _assert_profile_invertible(curv.h, curv.scale)
         if q_norm <= config.tol_q:
-            converged = True
             break
-        h, scale = _profile_jacobian_scaled(data, family, beta, gamma)
-        _assert_profile_invertible(h, scale)
         try:
-            step = np.linalg.solve(h, qc)
+            step = np.linalg.solve(curv.h, qc)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(
                 "profile Jacobian is singular; covariate design is collinear "
@@ -394,8 +397,7 @@ def fit(data, family, config=None, init=None):
         if not np.all(np.isfinite(step)):
             raise SingularDesignError("profile Newton step is not finite")
         gamma = gamma - step
-
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"no convergence within {config.max_outer} outer iterations "
             f"(residuals: degree {f_norm:.3e}, covariate {q_norm:.3e})",
@@ -403,11 +405,9 @@ def fit(data, family, config=None, init=None):
             trace=trace,
         )
 
-    h_hat, scale = _profile_jacobian_scaled(data, family, beta, gamma)
-    _assert_profile_invertible(h_hat, scale)
-    bias = homophily_bias(data, family, beta, gamma)
-    gamma_bc = bias_correct(gamma, h_hat, bias, data.n)
-    se_beta, se_gamma = standard_errors(data, family, beta, gamma)
+    bias = _homophily_bias(data, family, curv.pi, curv.slope)
+    gamma_bc = bias_correct(gamma, curv.h, bias, data.n)
+    se_beta, se_gamma = _standard_errors(data, family, curv)
     return FitResult(
         beta=beta,
         gamma=gamma,
@@ -415,11 +415,11 @@ def fit(data, family, config=None, init=None):
         se_beta=se_beta,
         se_gamma=se_gamma,
         bias=bias,
-        profile_hessian=h_hat,
+        profile_hessian=curv.h,
         converged=True,
         iterations=outer,
         residual_degree=f_norm,
         residual_covariate=q_norm,
-        diagnostics=_diagnostics(data, family, beta, gamma, h_hat),
+        diagnostics=_diagnostics(data, curv),
         trace=trace,
     )

@@ -117,7 +117,13 @@ class PoissonFamily(EdgeFamily):
     def sample(self, pi, rng):
         # numpy's generator draws Poisson exactly: inversion for small means,
         # transformed rejection for large ones; no normal approximation.
-        return rng.poisson(self.mean(pi)).astype(float)
+        lam = self.mean(pi)
+        try:
+            return rng.poisson(lam).astype(float)
+        except ValueError as exc:
+            raise DataError(
+                f"Poisson mean {lam.max():.3e} is too large to sample ({exc})"
+            ) from exc
 
 
 class ProbitFamily(EdgeFamily):

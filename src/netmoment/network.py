@@ -117,33 +117,12 @@ class NetworkData:
         return out
 
 
-def degrees(data):
-    """Degree sequence of a network."""
-    return data.degrees
-
-
 def covariate_magnitude(data):
     """Largest absolute covariate entry over all pairs (design magnitude)."""
     z = data.covariates
     if z.size == 0:
         raise DataError("network has no covariates")
     return float(np.abs(z).max())
-
-
-def support_violations(data, family):
-    """Pair offsets whose edge weight lies outside the family's support.
-
-    Binary families expect weights in {0, 1}; count families expect
-    nonnegative integers.  Returns an index array (empty when clean).
-    Fractional pseudo-networks built from exact edge means intentionally
-    violate binary support, so violations are reported, not raised.
-    """
-    w = data.pair_weights
-    if family.support == "binary":
-        bad = ~np.isin(w, (0.0, 1.0))
-    else:
-        bad = (w < 0) | (w != np.floor(w))
-    return np.nonzero(bad)[0]
 
 
 @dataclass(frozen=True)

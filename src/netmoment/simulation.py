@@ -231,7 +231,10 @@ def _run_replicate(spec, replicate, config, spec_index=0):
 
 
 def _worker_count(n_tasks):
-    cap = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     env = os.environ.get("NETMOMENT_THREADS", "").strip()
     if env:
         try:

@@ -91,6 +91,33 @@ def joint_solve_ref(adjacency, covariates, name, beta0, gamma0):
     return sol.x[:n], sol.x[n:]
 
 
+def log_ratio_degree_solve_ref(adjacency, covariates, gamma, tol=1e-10, max_iter=20000):
+    """Degree parameters of the logistic model by the log-ratio fixed point.
+
+    The classical beta-model iteration of Chatterjee, Diaconis & Sly (2011):
+    beta_i <- log d_i - log sum_{j != i} e^{beta_j + z_ij . gamma} / (1 + e^{pi_ij}),
+    started from zero and run until the degree residuals fall to ``tol``.
+    """
+    n = adjacency.shape[0]
+    d = adjacency.sum(axis=1)
+    beta = np.zeros(n)
+    for _ in range(max_iter):
+        resid = degree_residuals_ref(adjacency, covariates, "logistic", beta, gamma)
+        if np.abs(resid).max() <= tol:
+            return beta
+        new = np.zeros(n)
+        for i in range(n):
+            total = 0.0
+            for j in range(n):
+                if j == i:
+                    continue
+                zg = covariates[pair_offset_ref(i, j)] @ gamma
+                total += np.exp(beta[j] + zg) / (1.0 + np.exp(beta[i] + beta[j] + zg))
+            new[i] = np.log(d[i]) - np.log(total)
+        beta = new
+    raise RuntimeError(f"log-ratio fixed point did not reach tol={tol}")
+
+
 def logistic_loglik_grad_ref(adjacency, covariates, beta, gamma):
     """Gradient of the binary log likelihood; equals the moment residuals."""
     n = adjacency.shape[0]

@@ -94,6 +94,15 @@ class TestSimulate:
         assert code == 1
         assert "gamma_star length" in capsys.readouterr().err
 
+    def test_unsamplable_poisson_mean_exits_one(self, tmp_path, capsys):
+        code = main(["simulate", "--family", "poisson", "--n", "20",
+                     "--gamma-star", "0.5", "--beta-range", "25",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Poisson mean" in err and "too large to sample" in err
+        assert "Traceback" not in err
+
 
 class TestFit:
     def test_bundled_noise_free_fixture(self, tmp_path):
@@ -241,6 +250,43 @@ class TestFit:
         assert "error" in payload
         assert len(payload["trace"]) >= 1
         assert "residual_covariate" in payload["trace"][0]
+
+    def test_inner_non_convergence_keeps_outer_trace(self, noisy_files, tmp_path):
+        edges, covariates = noisy_files
+        out = tmp_path / "fail.json"
+        code = main(["fit", "--family", "logistic", "--edges", edges,
+                     "--pair-covariates", covariates,
+                     "--max-inner-beta", "2", "--out", str(out)])
+        assert code == 2
+        trace = json.loads(out.read_text())["trace"]
+        assert trace and trace[-1]["outer"] == 1
+
+    def test_constant_covariate_exits_one(self, noisy_files, tmp_path, capsys):
+        edges, _ = noisy_files
+        from netmoment.network import pair_indices
+        rows, cols = pair_indices(16)
+        covariates = tmp_path / "z.csv"
+        covariates.write_text("i,j,z1\n" + "".join(
+            f"{i},{j},1.0\n" for i, j in zip(rows, cols)))
+        code = main(["fit", "--family", "logistic", "--edges", edges,
+                     "--pair-covariates", str(covariates)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "profile Jacobian" in err
+        assert "Traceback" not in err
+
+    # the second case fails to converge, so the exit-2 payload is unwritable
+    @pytest.mark.parametrize("flags", [[], ["--tol-q", "1e-14", "--max-outer", "1"]])
+    def test_unwritable_out_exits_one(self, noisy_files, tmp_path, capsys, flags):
+        edges, covariates = noisy_files
+        out = tmp_path / "missing" / "x.json"
+        code = main(["fit", "--family", "logistic", "--edges", edges,
+                     "--pair-covariates", covariates, "--out", str(out)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
 
     def test_non_convergence_trace_on_stderr_without_out(self, noisy_files, capsys):
         edges, covariates = noisy_files

@@ -15,6 +15,7 @@ from oracles import (
     degree_residuals_ref,
     fd_jacobian,
     joint_solve_ref,
+    log_ratio_degree_solve_ref,
     logistic_loglik_grad_ref,
     profile_jacobian_fd,
 )
@@ -37,6 +38,7 @@ from netmoment.estimation import (
     solve_degree_params,
     standard_errors,
 )
+from netmoment import estimation, network
 from netmoment.families import get_family, initial_degree_params
 from netmoment.network import NetworkData, check_diagonally_balanced, pair_indices
 
@@ -129,13 +131,8 @@ class TestDegreeSolver:
     def test_log_ratio_agrees_with_preconditioned(self):
         data, _, gamma = build_instance("logistic", 12, 2, seed=71)
         b1, _, _ = solve_degree_params(data, "logistic", gamma, TIGHT)
-        b2, _, _ = solve_degree_params(data, "logistic", gamma, TIGHT, method="log_ratio")
+        b2 = log_ratio_degree_solve_ref(data.adjacency, data.covariates, gamma)
         assert np.abs(b1 - b2).max() <= 1e-9
-
-    def test_log_ratio_rejected_off_logistic(self):
-        data, _, gamma = build_instance("poisson", 6, 1, seed=81)
-        with pytest.raises(DataError):
-            solve_degree_params(data, "poisson", gamma, method="log_ratio")
 
     def test_degenerate_degrees_error_names_nodes(self):
         n = 5
@@ -287,6 +284,59 @@ class TestFit:
         assert excinfo.value.trace
         assert excinfo.value.trace[0]["outer"] == 1
 
+
+    def test_inner_failure_keeps_outer_trace(self):
+        data, _, _ = build_instance("logistic", 10, 2, seed=191)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            fit(data, "logistic", SolverConfig(max_inner_beta=2))
+        (entry,) = excinfo.value.trace
+        assert entry["outer"] == 1
+        assert entry["gamma"] == [0.0, 0.0]
+        assert entry["residual_degree"] == excinfo.value.residual > 0.0
+
+
+class TestCurvaturePass:
+    """fit evaluates the curvature once per outer iterate and reuses the
+    converged pass for every inference field."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_fit_fields_equal_public_functions(self, name):
+        data, _, _ = build_instance(name, 12, 2, seed=211)
+        result = fit(data, name)
+        beta, gamma = result.beta, result.gamma
+        se_beta, se_gamma = standard_errors(data, name, beta, gamma)
+        balance = check_diagonally_balanced(-degree_jacobian(data, name, beta, gamma))
+        assert np.array_equal(result.profile_hessian, profile_jacobian(data, name, beta, gamma))
+        assert np.array_equal(result.bias, homophily_bias(data, name, beta, gamma))
+        assert np.array_equal(result.se_beta, se_beta)
+        assert np.array_equal(result.se_gamma, se_gamma)
+        assert result.diagnostics["m_n"] == balance.min_offdiag
+        assert result.diagnostics["M_n"] == balance.max_offdiag
+
+    def test_degree_jacobian_built_and_solved_once_per_iterate(self, monkeypatch):
+        data, _, _ = build_instance("logistic", 12, 2, seed=221)
+        builds, solves = [], []
+        assemble, solve = estimation._jacobian_from_slopes, np.linalg.solve
+
+        def counting_assemble(data, slope):
+            builds.append(1)
+            return assemble(data, slope)
+
+        def counting_solve(a, b):
+            if np.shape(a) == (data.n, data.n):
+                solves.append(1)
+            return solve(a, b)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit must not test the balanced class")
+
+        monkeypatch.setattr(estimation, "_jacobian_from_slopes", counting_assemble)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(network, "check_diagonally_balanced", forbidden)
+        monkeypatch.setattr(estimation, "check_diagonally_balanced", forbidden)
+        result = fit(data, "logistic")
+        assert result.iterations > 1
+        assert len(builds) == len(solves) == result.iterations
 
 class TestHomophilyBias:
     def test_logistic_zero_index_gives_zero(self):

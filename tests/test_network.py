@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import build_instance
 from netmoment.errors import DataError
-from netmoment.families import get_family
 from netmoment.network import (
     NetworkData,
     check_diagonally_balanced,
     covariate_magnitude,
-    degrees,
     diagonal_inverse_approx,
     pair_count,
     pair_indices,
     pair_offset,
     random_balanced_matrix,
-    support_violations,
 )
 
 
@@ -84,12 +80,12 @@ class TestNetworkDataValidation:
 class TestDegrees:
     def test_empty_graph_zero(self):
         data = NetworkData(np.zeros((5, 5)), np.zeros((10, 1)))
-        assert_allclose(degrees(data), np.zeros(5))
+        assert_allclose(data.degrees, np.zeros(5))
 
     def test_complete_binary_graph(self):
         a = np.ones((4, 4)) - np.eye(4)
         data = NetworkData(a, np.zeros((6, 1)))
-        assert_allclose(degrees(data), np.full(4, 3.0))
+        assert_allclose(data.degrees, np.full(4, 3.0))
 
     def test_random_weighted_matches_double_loop(self):
         data = _random_network(8, 1, 3)
@@ -140,32 +136,6 @@ class TestCovariateMagnitude:
         data = _random_network(7, 2, 8)
         expected = max(abs(v) for row in data.covariates for v in row)
         assert covariate_magnitude(data) == expected
-
-
-class TestSupportViolations:
-    def test_clean_binary_graph(self):
-        data, _, _ = build_instance("logistic", 8, 1, seed=1)
-        assert support_violations(data, get_family("logistic")).size == 0
-
-    def test_fractional_weight_flagged_for_binary(self):
-        a = np.zeros((3, 3))
-        a[1, 0] = a[0, 1] = 0.5
-        data = NetworkData(a, np.zeros((3, 1)))
-        offsets = support_violations(data, get_family("logistic"))
-        assert offsets.tolist() == [0]
-
-    def test_fractional_weight_flagged_for_count(self):
-        a = np.zeros((3, 3))
-        a[2, 1] = a[1, 2] = 1.5
-        data = NetworkData(a, np.zeros((3, 1)))
-        offsets = support_violations(data, get_family("poisson"))
-        assert offsets.tolist() == [2]
-
-    def test_integer_counts_pass(self):
-        a = np.zeros((3, 3))
-        a[1, 0] = a[0, 1] = 3.0
-        data = NetworkData(a, np.zeros((3, 1)))
-        assert support_violations(data, get_family("poisson")).size == 0
 
 
 class TestBalancedClass:

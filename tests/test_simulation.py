@@ -1,5 +1,7 @@
 """Tests for synthetic network generation and the Monte Carlo harness."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,18 @@ class TestWorkerCount:
         monkeypatch.setenv("NETMOMENT_THREADS", "many")
         with pytest.raises(DataError, match="NETMOMENT_THREADS"):
             _worker_count(4)
+
+    def test_affinity_caps_workers(self, monkeypatch):
+        monkeypatch.delenv("NETMOMENT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _worker_count(64) == 3
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delenv("NETMOMENT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _worker_count(64) == 5
 
 
 class TestRateSlope:
