@@ -6,6 +6,8 @@ JSON).
 """
 
 import argparse
+import contextlib
+import csv
 import json
 import sys
 
@@ -96,6 +98,12 @@ def _parse_floats(text, what):
     return values
 
 
+def _write_csv(out, rows):
+    """Write CSV rows to the file ``out``, or to stdout when it is None."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as handle:
+        csv.writer(handle).writerows(rows)
+
+
 def _run_fit(args):
     sources = (args.pair_covariates is not None) + (args.node_attrs is not None)
     if sources != 1:
@@ -131,11 +139,7 @@ def _run_fit(args):
             json.dump(dataio.fit_result_to_dict(result, bias_correct), sys.stdout, indent=2)
             sys.stdout.write("\n")
     else:
-        if args.out:
-            dataio.write_fit_result_csv(args.out, result, bias_correct)
-        else:
-            for row in dataio.fit_result_csv_rows(result, bias_correct):
-                sys.stdout.write(",".join(str(cell) for cell in row) + "\n")
+        _write_csv(args.out, dataio.fit_result_csv_rows(result, bias_correct))
     return 0
 
 
@@ -177,11 +181,7 @@ def _run_mc_study(args):
             json.dump(dataio.report_to_dict(report), sys.stdout, indent=2)
             sys.stdout.write("\n")
     else:
-        if args.out:
-            dataio.write_report_csv(args.out, report)
-        else:
-            for row in dataio.report_csv_rows(report):
-                sys.stdout.write(",".join(str(cell) for cell in row) + "\n")
+        _write_csv(args.out, dataio.report_csv_rows(report))
     return 0
 
 

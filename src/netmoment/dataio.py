@@ -9,45 +9,110 @@ exactly once, so they also fix the node count.  Floats are written with
 
 import csv
 import json
-import math
 
 import numpy as np
 
 from .errors import DataError
 from .estimation import FitResult, SolverConfig
-from .network import NetworkData, pair_count, pair_indices
+from .network import pair_count, pair_indices, pair_offset
 from .simulation import CovariateRule, GenSpec, McStudyReport
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
 
 
-def _open_rows(path):
+def _read_table(path, check_header, *spec):
+    """Open the CSV table at ``path`` and return its body as a ``_Table``;
+    ``check_header(path, rows, *spec)`` raises on a bad header row or a
+    missing body, else returns the number of fields every body row must have."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with handle:
-        rows = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file is empty, expected a header row")
-    return rows
+    return _Table(path, rows[1:], check_header(path, rows, *spec))
 
 
-def _parse_int(text, path, line, what):
+class _Table:
+    """The body rows of a CSV table as an object array of field strings.
+
+    A check that fails raises a ``DataError`` naming the file and the line
+    of the first row that fails it.
+    """
+
+    def __init__(self, path, body, width):
+        self.path = path
+        counts = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+        self.check(counts != width, lambda r: f"expected {width} fields, got {counts[r]}")
+        self.text = np.array(body, dtype=object).reshape(len(body), width)
+
+    def check(self, bad, message):
+        """Raise ``message(r)`` for the first row r of the mask ``bad``."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            raise DataError(f"{self.path} line {hits[0] + 2}: {message(hits[0])}")
+
+    def parse(self, columns, dtype, what):
+        """The given columns as ``dtype``; float columns must be finite."""
+        block = self.text[:, columns]
+        try:
+            values = block.astype(dtype)
+        except (ValueError, OverflowError):
+            defects = (_field_defect(text, dtype, what) for text in block.ravel().tolist())
+            k, defect = next((k, d) for k, d in enumerate(defects) if d)
+            raise DataError(f"{self.path} line {k // block.shape[1] + 2}: {defect}") from None
+        self.check(~np.isfinite(values).all(axis=1), lambda r: f"{what} must be finite")
+        return values
+
+    def check_pairs(self, i, j):
+        """Reject a pair repeated in either order; return the pair offsets."""
+        hi, lo = np.maximum(i, j), np.minimum(i, j)
+        offsets = pair_offset(hi, lo)
+        self.check(_repeats(offsets), lambda r: f"duplicate unordered pair ({hi[r]}, {lo[r]})")
+        return offsets
+
+
+def _field_defect(text, dtype, what):
+    """What is wrong with one field, or None."""
     try:
-        return int(text)
-    except ValueError as exc:
-        raise DataError(f"{path} line {line}: {what} {text!r} is not an integer") from exc
+        value = np.array(text, dtype=object).astype(dtype)
+    except ValueError:
+        return f"{what} {text!r} is not {'a number' if dtype is float else 'an integer'}"
+    except OverflowError:
+        return f"{what} {text!r} is out of range"
+    return None if np.isfinite(value) else f"{what} must be finite"
 
 
-def _parse_float(text, path, line, what):
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise DataError(f"{path} line {line}: {what} {text!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{path} line {line}: {what} must be finite")
-    return value
+def _repeats(keys):
+    """Mask of the entries equal to an earlier entry."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def _numbered_header(path, rows, ids, prefix, usage, noun):
+    """Check for a header ``ids`` then prefix1, prefix2, ... and for a body."""
+    header = [c.strip() for c in rows[0]]
+    if len(header) <= len(ids) or header[: len(ids)] != ids:
+        raise DataError(f"{path}: expected header {usage!r}")
+    expected = [f"{prefix}{k}" for k in range(1, len(header) - len(ids) + 1)]
+    if header[len(ids) :] != expected:
+        raise DataError(f"{path}: {noun} columns must be named {','.join(expected)}")
+    if len(rows) == 1:
+        raise DataError(f"{path}: no {noun} rows")
+    return len(header)
+
+
+def _edge_header(path, rows):
+    if [c.strip() for c in rows[0]] != ["i", "j", "weight"]:
+        raise DataError(f"{path}: expected header 'i,j,weight', got {','.join(rows[0])!r}")
+    return 3
 
 
 def read_edges(path, n):
@@ -56,27 +121,15 @@ def read_edges(path, n):
     Pairs absent from the file get weight zero.  Self-loops, duplicate
     unordered pairs, and node ids outside [0, n) are rejected.
     """
-    rows = _open_rows(path)
-    if [c.strip() for c in rows[0]] != ["i", "j", "weight"]:
-        raise DataError(f"{path}: expected header 'i,j,weight', got {','.join(rows[0])!r}")
+    table = _read_table(path, _edge_header)
+    i, j = table.parse([0, 1], np.int64, "node id").T
+    weight = table.parse([2], float, "weight")[:, 0]
+    table.check(i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
+    table.check((i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
+    table.check_pairs(i, j)
     adjacency = np.zeros((n, n))
-    seen = set()
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"{path} line {line}: expected 3 fields, got {len(row)}")
-        i = _parse_int(row[0], path, line, "node id")
-        j = _parse_int(row[1], path, line, "node id")
-        w = _parse_float(row[2], path, line, "weight")
-        if i == j:
-            raise DataError(f"{path} line {line}: self-loop at node {i} is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise DataError(f"{path} line {line}: node id out of range [0, {n})")
-        key = (max(i, j), min(i, j))
-        if key in seen:
-            raise DataError(f"{path} line {line}: duplicate unordered pair {key}")
-        seen.add(key)
-        adjacency[i, j] = w
-        adjacency[j, i] = w
+    adjacency[i, j] = weight
+    adjacency[j, i] = weight
     return adjacency
 
 
@@ -87,79 +140,37 @@ def read_pair_covariates(path):
     inferred from the largest id and validated against the row count.
     Returns (n, covariates) with covariates in pair-offset order.
     """
-    rows = _open_rows(path)
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 3 or header[:2] != ["i", "j"]:
-        raise DataError(f"{path}: expected header 'i,j,z1,...,zp'")
-    expected_z = [f"z{k}" for k in range(1, len(header) - 1)]
-    if header[2:] != expected_z:
-        raise DataError(f"{path}: covariate columns must be named {','.join(expected_z)}")
-    p = len(header) - 2
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no covariate rows")
-
-    max_id = -1
-    parsed = []
-    for line, row in enumerate(body, start=2):
-        if len(row) != 2 + p:
-            raise DataError(f"{path} line {line}: expected {2 + p} fields, got {len(row)}")
-        i = _parse_int(row[0], path, line, "node id")
-        j = _parse_int(row[1], path, line, "node id")
-        if i == j:
-            raise DataError(f"{path} line {line}: self-pair at node {i} is not allowed")
-        if i < 0 or j < 0:
-            raise DataError(f"{path} line {line}: node ids must be nonnegative")
-        values = [_parse_float(v, path, line, "covariate") for v in row[2:]]
-        parsed.append((line, i, j, values))
-        max_id = max(max_id, i, j)
-
-    n = max_id + 1
-    if len(body) != pair_count(n):
+    table = _read_table(path, _numbered_header, ["i", "j"], "z", "i,j,z1,...,zp", "covariate")
+    i, j = table.parse([0, 1], np.int64, "node id").T
+    table.check(i == j, lambda r: f"self-pair at node {i[r]} is not allowed")
+    table.check((i < 0) | (j < 0), lambda r: "node ids must be nonnegative")
+    z = table.parse(slice(2, None), float, "covariate")
+    n = int(max(i.max(), j.max())) + 1
+    if len(z) != pair_count(n):
         raise DataError(
-            f"{path}: {len(body)} rows but {pair_count(n)} unordered pairs "
+            f"{path}: {len(z)} rows but {pair_count(n)} unordered pairs "
             f"exist for the {n} nodes referenced; every pair must appear exactly once"
         )
-    covariates = np.full((pair_count(n), p), np.nan)
-    for line, i, j, values in parsed:
-        hi, lo = max(i, j), min(i, j)
-        offset = hi * (hi - 1) // 2 + lo
-        if not np.isnan(covariates[offset]).all():
-            raise DataError(f"{path} line {line}: duplicate unordered pair ({hi}, {lo})")
-        covariates[offset] = values
+    offsets = table.check_pairs(i, j)
     # duplicates were rejected and the row count matches, so no pair is missing
+    covariates = np.empty_like(z)
+    covariates[offsets] = z
     return n, covariates
 
 
 def read_node_attrs(path):
     """Read a node-attribute CSV (header ``i,x1,...,xk``), one row per node."""
-    rows = _open_rows(path)
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2 or header[0] != "i":
-        raise DataError(f"{path}: expected header 'i,x1,...,xk'")
-    expected_x = [f"x{k}" for k in range(1, len(header))]
-    if header[1:] != expected_x:
-        raise DataError(f"{path}: attribute columns must be named {','.join(expected_x)}")
-    k = len(header) - 1
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no attribute rows")
-    n = len(body)
-    attrs = np.full((n, k), np.nan)
-    seen = set()
-    for line, row in enumerate(body, start=2):
-        if len(row) != 1 + k:
-            raise DataError(f"{path} line {line}: expected {1 + k} fields, got {len(row)}")
-        i = _parse_int(row[0], path, line, "node id")
-        if not 0 <= i < n:
-            raise DataError(
-                f"{path} line {line}: node id {i} outside [0, {n}); ids must "
-                f"cover every node exactly once"
-            )
-        if i in seen:
-            raise DataError(f"{path} line {line}: node {i} appears twice")
-        seen.add(i)
-        attrs[i] = [_parse_float(v, path, line, "attribute") for v in row[1:]]
+    table = _read_table(path, _numbered_header, ["i"], "x", "i,x1,...,xk", "attribute")
+    n = len(table.text)
+    i = table.parse([0], np.int64, "node id")[:, 0]
+    table.check(
+        (i < 0) | (i >= n),
+        lambda r: f"node id {i[r]} outside [0, {n}); ids must cover every node exactly once",
+    )
+    table.check(_repeats(i), lambda r: f"node {i[r]} appears twice")
+    x = table.parse(slice(1, None), float, "attribute")
+    attrs = np.empty_like(x)
+    attrs[i] = x
     return attrs
 
 
@@ -183,25 +194,27 @@ def derive_pair_covariates(node_attrs, transform):
     raise DataError(f"unknown transform {transform!r}; choose euclidean_distance or match_indicator")
 
 
-def write_edges(path, data):
-    """Write the nonzero unordered pairs of a network as an edge-list CSV."""
+def _write_table(path, header, ids, values):
+    """Write int id columns and float value columns as CSV; ``repr`` floats read back bit-exact."""
+    fields = [map(str, c.tolist()) for c in ids] + [map(repr, c.tolist()) for c in values]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["i", "j", "weight"])
-        weights = data.pair_weights
-        for i, j, w in zip(data.rows, data.cols, weights):
-            if w != 0.0:
-                writer.writerow([int(i), int(j), repr(float(w))])
+        writer.writerow(header)
+        writer.writerows(zip(*fields))
+
+
+def write_edges(path, data):
+    """Write the nonzero unordered pairs of a network as an edge-list CSV."""
+    weights = data.pair_weights
+    keep = weights != 0.0
+    _write_table(path, ["i", "j", "weight"], [data.rows[keep], data.cols[keep]], [weights[keep]])
 
 
 def write_pair_covariates(path, data):
     """Write every unordered pair's covariate row as a CSV."""
     z = data.covariates
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j"] + [f"z{k}" for k in range(1, z.shape[1] + 1)])
-        for offset, (i, j) in enumerate(zip(data.rows, data.cols)):
-            writer.writerow([int(i), int(j)] + [repr(float(v)) for v in z[offset]])
+    header = ["i", "j"] + [f"z{k}" for k in range(1, z.shape[1] + 1)]
+    _write_table(path, header, [data.rows, data.cols], z.T)
 
 
 def fit_result_to_dict(result, bias_correct=True):
@@ -240,11 +253,6 @@ def fit_result_csv_rows(result, bias_correct=True):
         for k, (g, se) in enumerate(zip(result.gamma_bc, result.se_gamma)):
             rows.append(["gamma_bc", k, repr(float(g)), repr(float(se))])
     return rows
-
-
-def write_fit_result_csv(path, result, bias_correct=True):
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerows(fit_result_csv_rows(result, bias_correct))
 
 
 def report_to_dict(report):
@@ -305,11 +313,6 @@ def report_csv_rows(report):
                     row.append(int(values[k]))
         rows.append(row)
     return rows
-
-
-def write_report_csv(path, report):
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerows(report_csv_rows(report))
 
 
 _STUDY_KEYS = {

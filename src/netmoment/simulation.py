@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NetmomentError
-from .estimation import SolverConfig, fit
+from .errors import DataError, DegenerateDegreeError, NetmomentError
+from .estimation import SolverConfig, check_interior_degrees, fit
 from .families import get_family
 from .network import NetworkData, pair_count, pair_indices
 
@@ -176,22 +176,18 @@ def generate(spec, rng=None):
     return generate_with_truth(spec, rng).data
 
 
-def _degrees_interior(data, family):
-    d = data.degrees
-    if family.support == "binary":
-        return bool(np.all((d > 0.0) & (d < data.n - 1)))
-    return bool(np.all(d > 0.0))
-
-
 def _run_replicate(spec, replicate, config, spec_index=0):
     """Generate (with regeneration on degenerate degrees) and fit once."""
     family = get_family(spec.family)
     synth = None
     for attempt in range(_MAX_REGEN_ATTEMPTS):
         candidate = generate_with_truth(spec, _rng_for(spec, replicate, attempt))
-        if _degrees_interior(candidate.data, family):
-            synth = candidate
-            break
+        try:
+            check_interior_degrees(candidate.data, family)
+        except DegenerateDegreeError:
+            continue
+        synth = candidate
+        break
     record = {
         "spec_index": spec_index,
         "n": spec.n,

@@ -4,11 +4,20 @@ Everything here is written with explicit double loops over node pairs and
 generic numerical tools (dense root finding, finite differences, adaptive
 quadrature) so that agreement with the package is evidence, not tautology.
 Deliberately slow; only suitable for the small instances used in tests.
+The CSV readers at the end parse one field at a time with ``int`` and
+``float`` and validate row by row, the reference for the array-based
+readers in ``netmoment.dataio``.
 """
+
+import csv
+import math
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import expit, ndtr
+
+from netmoment.errors import DataError
+from netmoment.network import pair_count
 
 
 def pair_offset_ref(i, j):
@@ -177,3 +186,134 @@ def orthant_cov_quadrature(rho):
     if err > 1e-9:
         raise RuntimeError(f"orthant quadrature error too large: {err:.3e}")
     return val - 0.25
+
+
+def _open_rows(path):
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    with handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise DataError(f"{path}: file is empty, expected a header row")
+    return rows
+
+
+def _parse_int(text, path, line, what):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DataError(f"{path} line {line}: {what} {text!r} is not an integer") from exc
+
+
+def _parse_float(text, path, line, what):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise DataError(f"{path} line {line}: {what} {text!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise DataError(f"{path} line {line}: {what} must be finite")
+    return value
+
+
+def read_edges_ref(path, n):
+    """Edge-list CSV (header ``i,j,weight``) to an adjacency matrix, row by row."""
+    rows = _open_rows(path)
+    if [c.strip() for c in rows[0]] != ["i", "j", "weight"]:
+        raise DataError(f"{path}: expected header 'i,j,weight', got {','.join(rows[0])!r}")
+    adjacency = np.zeros((n, n))
+    seen = set()
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise DataError(f"{path} line {line}: expected 3 fields, got {len(row)}")
+        i = _parse_int(row[0], path, line, "node id")
+        j = _parse_int(row[1], path, line, "node id")
+        w = _parse_float(row[2], path, line, "weight")
+        if i == j:
+            raise DataError(f"{path} line {line}: self-loop at node {i} is not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise DataError(f"{path} line {line}: node id out of range [0, {n})")
+        key = (max(i, j), min(i, j))
+        if key in seen:
+            raise DataError(f"{path} line {line}: duplicate unordered pair {key}")
+        seen.add(key)
+        adjacency[i, j] = w
+        adjacency[j, i] = w
+    return adjacency
+
+
+def read_pair_covariates_ref(path):
+    """Covariate CSV (header ``i,j,z1,...,zp``) to (n, covariates), row by row."""
+    rows = _open_rows(path)
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 3 or header[:2] != ["i", "j"]:
+        raise DataError(f"{path}: expected header 'i,j,z1,...,zp'")
+    expected_z = [f"z{k}" for k in range(1, len(header) - 1)]
+    if header[2:] != expected_z:
+        raise DataError(f"{path}: covariate columns must be named {','.join(expected_z)}")
+    p = len(header) - 2
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: no covariate rows")
+
+    max_id = -1
+    parsed = []
+    for line, row in enumerate(body, start=2):
+        if len(row) != 2 + p:
+            raise DataError(f"{path} line {line}: expected {2 + p} fields, got {len(row)}")
+        i = _parse_int(row[0], path, line, "node id")
+        j = _parse_int(row[1], path, line, "node id")
+        if i == j:
+            raise DataError(f"{path} line {line}: self-pair at node {i} is not allowed")
+        if i < 0 or j < 0:
+            raise DataError(f"{path} line {line}: node ids must be nonnegative")
+        values = [_parse_float(v, path, line, "covariate") for v in row[2:]]
+        parsed.append((line, i, j, values))
+        max_id = max(max_id, i, j)
+
+    n = max_id + 1
+    if len(body) != pair_count(n):
+        raise DataError(
+            f"{path}: {len(body)} rows but {pair_count(n)} unordered pairs "
+            f"exist for the {n} nodes referenced; every pair must appear exactly once"
+        )
+    covariates = np.full((pair_count(n), p), np.nan)
+    for line, i, j, values in parsed:
+        offset = pair_offset_ref(i, j)
+        if not np.isnan(covariates[offset]).all():
+            raise DataError(f"{path} line {line}: duplicate unordered pair ({max(i, j)}, {min(i, j)})")
+        covariates[offset] = values
+    return n, covariates
+
+
+def read_node_attrs_ref(path):
+    """Node-attribute CSV (header ``i,x1,...,xk``) to an (n, k) array, row by row."""
+    rows = _open_rows(path)
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 2 or header[0] != "i":
+        raise DataError(f"{path}: expected header 'i,x1,...,xk'")
+    expected_x = [f"x{k}" for k in range(1, len(header))]
+    if header[1:] != expected_x:
+        raise DataError(f"{path}: attribute columns must be named {','.join(expected_x)}")
+    k = len(header) - 1
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: no attribute rows")
+    n = len(body)
+    attrs = np.full((n, k), np.nan)
+    seen = set()
+    for line, row in enumerate(body, start=2):
+        if len(row) != 1 + k:
+            raise DataError(f"{path} line {line}: expected {1 + k} fields, got {len(row)}")
+        i = _parse_int(row[0], path, line, "node id")
+        if not 0 <= i < n:
+            raise DataError(
+                f"{path} line {line}: node id {i} outside [0, {n}); ids must "
+                f"cover every node exactly once"
+            )
+        if i in seen:
+            raise DataError(f"{path} line {line}: node {i} appears twice")
+        seen.add(i)
+        attrs[i] = [_parse_float(v, path, line, "attribute") for v in row[1:]]
+    return attrs

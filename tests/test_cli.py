@@ -5,6 +5,8 @@ stdout/stderr can be asserted directly; one subprocess test checks the
 module entry point wiring.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -148,6 +150,16 @@ class TestFit:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "parameter,index,estimate,std_error"
         assert len(lines) == 1 + N_NODES + 1 + 1
+
+    def test_csv_stdout_equals_out_file(self, noise_free_files, tmp_path, capsys):
+        edges, covariates = noise_free_files
+        argv = ["fit", "--family", "logistic", "--edges", edges,
+                "--pair-covariates", covariates, "--format", "csv"]
+        out = tmp_path / "fit.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_no_bias_correct_nulls_fields(self, noise_free_files, tmp_path):
         edges, covariates = noise_free_files
@@ -327,6 +339,22 @@ seed = 5
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("spec_index,n,replicate,failed")
         assert len(lines) == 1 + 4
+
+    def test_csv_stdout_equals_out_file(self, tmp_path, capsys):
+        """A failure reason holding a comma is quoted on stdout as in the
+        --out file, so every row parses to the header's width."""
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("family = logistic\nn_grid = 20\nreplicates = 1\n"
+                       "gamma_star = 0.5\nmax_outer = 1\nseed = 3\n")
+        out = tmp_path / "report.csv"
+        assert main(["mc-study", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["mc-study", "--config", str(cfg), "--format", "csv"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes()
+        rows = list(csv.reader(io.StringIO(printed)))
+        assert "," in rows[1][rows[0].index("failure_reason")]
+        assert {len(row) for row in rows} == {len(rows[0])}
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "study.cfg"

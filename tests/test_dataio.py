@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmoment.dataio import (
     derive_pair_covariates,
@@ -28,6 +32,7 @@ from netmoment.network import NetworkData, pair_count, pair_indices
 from netmoment.simulation import GenSpec, generate, run_mc_study
 
 from conftest import build_noise_free
+from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref
 
 
 def _write(path, text):
@@ -212,6 +217,154 @@ class TestReadNodeAttrs:
         path = _write(tmp_path / "x.csv", "i,x1\n0,inf\n1,2.0\n")
         with pytest.raises(DataError, match="must be finite"):
             read_node_attrs(path)
+
+
+# Valid files of each format whose body line 4 (the header is line 1) the
+# corpus below replaces with a defective row.
+_VALID = {
+    "edges": ["i,j,weight", "1,0,0.5", "2,0,1.5", "2,1,2.0", "3,1,1.0", "4,3,0.25"],
+    "covariates": ["i,j,z1,z2", "1,0,0.1,0.2", "2,0,0.3,0.4", "2,1,0.5,0.6",
+                   "3,0,0.7,0.8", "3,1,0.9,1.0", "3,2,1.1,1.2"],
+    "attrs": ["i,x1,x2", "0,1.0,2.0", "1,3.0,4.0", "2,5.0,6.0", "3,7.0,8.0", "4,9.0,0.5"],
+}
+_READERS = {
+    "edges": (lambda path: read_edges(path, 5), lambda path: read_edges_ref(path, 5)),
+    "covariates": (read_pair_covariates, read_pair_covariates_ref),
+    "attrs": (read_node_attrs, read_node_attrs_ref),
+}
+_LINE_4_DEFECTS = [
+    ("edges", "2,1"),                     # wrong field count
+    ("edges", "2,1,2.0,7"),
+    ("edges", ""),
+    ("edges", "2.5,1,2.0"),               # non-integer id
+    ("edges", "2,x,2.0"),
+    ("edges", " ,1,2.0"),
+    ("edges", "2,1,heavy"),               # non-number value
+    ("edges", "2,1,"),
+    ("edges", "2,1,inf"),                 # non-finite value
+    ("edges", "2,1,nan"),
+    ("edges", "2,1,1e400"),
+    ("edges", "2,2,1.0"),                 # self-loop
+    ("edges", "2,5,1.0"),                 # id out of range
+    ("edges", "-1,2,1.0"),
+    ("edges", "0,1,1.0"),                 # duplicate pair, reversed
+    ("edges", "2,0,3.0"),                 # duplicate pair, same order
+    ("covariates", "2,1,0.5"),
+    ("covariates", "2,1,0.5,0.6,0.7"),
+    ("covariates", "2,one,0.5,0.6"),
+    ("covariates", "2.0,1,0.5,0.6"),
+    ("covariates", "2,1,abc,0.6"),
+    ("covariates", "2,1,0.5,"),
+    ("covariates", "2,1,nan,0.6"),
+    ("covariates", "2,1,inf,x"),          # the first bad field of the row wins
+    ("covariates", "2,1,0.5,-inf"),
+    ("covariates", "1,1,0.5,0.6"),        # self-pair
+    ("covariates", "-1,2,0.5,0.6"),       # negative id
+    ("covariates", "2,9,0.5,0.6"),        # outside id: the row count no longer fits
+    ("covariates", "1,0,0.5,0.6"),        # duplicate pair
+    ("covariates", "0,2,0.5,0.6"),        # duplicate pair, reversed
+    ("attrs", "2,5.0"),
+    ("attrs", "2,5.0,6.0,7.0"),
+    ("attrs", "two,5.0,6.0"),
+    ("attrs", "2,5.0,six"),
+    ("attrs", "2,inf,6.0"),
+    ("attrs", "2,5.0,nan"),
+    ("attrs", "5,5.0,6.0"),               # id outside [0, n)
+    ("attrs", "-1,5.0,6.0"),
+    ("attrs", "1,5.0,6.0"),               # repeated node
+]
+
+
+def _with_line_4(kind, row):
+    lines = list(_VALID[kind])
+    lines[3] = row
+    return "\n".join(lines) + "\n"
+
+
+class TestReaderContract:
+    """Each reader's error text, file and line included, equals that of the
+    row-by-row reference reader in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("kind", sorted(_VALID))
+    def test_valid_file_matches_reference(self, kind, tmp_path):
+        path = _write(tmp_path / f"{kind}.csv", "\n".join(_VALID[kind]) + "\n")
+        read, reference = _READERS[kind]
+        got, want = read(path), reference(path)
+        if kind == "covariates":
+            assert got[0] == want[0]
+            got, want = got[1], want[1]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,row", _LINE_4_DEFECTS)
+    def test_defect_message_matches_reference(self, kind, row, tmp_path):
+        path = _write(tmp_path / f"{kind}.csv", _with_line_4(kind, row))
+        read, reference = _READERS[kind]
+        with pytest.raises(DataError) as expected:
+            reference(path)
+        with pytest.raises(DataError) as got:
+            read(path)
+        assert str(got.value) == str(expected.value)
+        if row != "2,9,0.5,0.6":
+            assert str(got.value).startswith(f"{path} line 4: ")
+
+    @pytest.mark.parametrize("kind,row", [
+        ("edges", '"2", 1 ,+2.0e0'),          # quoted, padded and signed fields
+        ("edges", "2,1,-0.0"),
+        ("covariates", "2,1,5e-324,-1.7976931348623157e308"),
+        ("attrs", "2,1_000.5,6"),             # Python number syntax
+    ])
+    def test_field_syntax_matches_reference(self, kind, row, tmp_path):
+        path = _write(tmp_path / f"{kind}.csv", _with_line_4(kind, row))
+        read, reference = _READERS[kind]
+        got, want = read(path), reference(path)
+        if kind == "covariates":
+            got, want = got[1], want[1]
+        assert np.array_equal(got, want)
+
+    def test_overlong_field(self, tmp_path):
+        path = _write(tmp_path / "e.csv", "i,j,weight\n1,0,1\n2,1," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match=r"line 3: field larger than field limit"):
+            read_edges(path, 5)
+
+    def test_id_beyond_64_bits(self, tmp_path):
+        path = _write(tmp_path / "e.csv", _with_line_4("edges", "2,9223372036854775808,1.0"))
+        with pytest.raises(DataError) as got:
+            read_edges(path, 5)
+        assert str(got.value) == (
+            f"{path} line 4: node id '9223372036854775808' is out of range"
+        )
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0]),
+)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12), p=st.integers(1, 3))
+    def test_write_then_read_is_bit_exact(self, data, n, p):
+        """Any finite floats, subnormal and extreme ones included, survive a
+        write/read cycle bit for bit.  The edge format omits zero weights, so
+        a weight of -0.0 reads back as 0.0."""
+        pairs = pair_count(n)
+        weights = np.array(data.draw(st.lists(_FLOATS, min_size=pairs, max_size=pairs)))
+        z = np.array(data.draw(st.lists(_FLOATS, min_size=pairs * p, max_size=pairs * p)))
+        rows, cols = pair_indices(n)
+        adjacency = np.zeros((n, n))
+        adjacency[rows, cols] = weights
+        adjacency[cols, rows] = weights
+        network = NetworkData(adjacency, z.reshape(pairs, p))
+        with tempfile.TemporaryDirectory() as tmp:
+            edges, covariates = str(Path(tmp, "e.csv")), str(Path(tmp, "z.csv"))
+            write_edges(edges, network)
+            write_pair_covariates(covariates, network)
+            got_n, got_z = read_pair_covariates(covariates)
+            got_adjacency = read_edges(edges, n)
+        assert got_n == n
+        assert got_z.tobytes() == network.covariates.tobytes()
+        assert got_adjacency.tobytes() == (network.adjacency + 0.0).tobytes()
 
 
 class TestDerivePairCovariates:

@@ -47,6 +47,18 @@ class TestPoissonClosedForms:
         assert_allclose(m3, np.exp(grid), rtol=1e-14)
         assert_allclose(fam.variance(grid), np.exp(grid), rtol=1e-14)
 
+    def test_mean_is_exact_up_to_overflow(self):
+        """exp() is neither clipped near the top of the double range nor
+        below it: large indices keep their exact mean and very negative
+        ones underflow to zero."""
+        fam = get_family("poisson")
+        assert fam.mean([700.0])[0] == np.exp(700.0)
+        assert fam.mean([-800.0])[0] == 0.0
+
+    def test_mean_overflow_raises_naming_index(self):
+        with pytest.raises(DataError, match="Poisson index 710.0 is too large"):
+            get_family("poisson").mean([1.0, 710.0, 705.0])
+
 
 class TestProbitClosedForms:
     def test_values_at_zero(self):

@@ -5,14 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from netmoment.errors import DataError
-from netmoment.estimation import SolverConfig
+from netmoment.errors import DataError, DegenerateDegreeError
+from netmoment.estimation import SolverConfig, check_interior_degrees
 from netmoment.families import get_family
 from netmoment.network import pair_count, pair_offset
 from netmoment.simulation import (
     CovariateRule,
     GenSpec,
-    _degrees_interior,
     _rate_slope,
     _rng_for,
     _run_replicate,
@@ -256,7 +255,8 @@ class TestRunReplicate:
                        beta_range=2.2, seed=99)
         family = get_family("logistic")
         first = generate_with_truth(spec, _rng_for(spec, 1, 0))
-        assert not _degrees_interior(first.data, family)
+        with pytest.raises(DegenerateDegreeError):
+            check_interior_degrees(first.data, family)
         record = _run_replicate(spec, 1, self.CONFIG)
         assert record["failed"] is False
 
