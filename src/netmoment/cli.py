@@ -47,8 +47,18 @@ def _build_parser():
     fit_p.add_argument("--tol-f", type=float, default=SolverConfig.tol_f)
     fit_p.add_argument("--tol-q", type=float, default=SolverConfig.tol_q)
     fit_p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
-    fit_p.add_argument("--max-inner-beta", type=int, default=SolverConfig.max_inner_beta)
-    fit_p.add_argument("--damping", type=float, default=SolverConfig.damping)
+    fit_p.add_argument(
+        "--max-inner-beta",
+        type=int,
+        default=SolverConfig.max_inner_beta,
+        help="cap on the Newton steps of each degree-parameter solve",
+    )
+    fit_p.add_argument(
+        "--damping",
+        type=float,
+        default=SolverConfig.damping,
+        help="deprecated and ignored; accepted so existing scripts run",
+    )
     fit_p.add_argument("--no-bias-correct", action="store_true")
     fit_p.add_argument("--out", metavar="PATH")
     fit_p.add_argument("--format", default="json", choices=["json", "csv"])

@@ -334,7 +334,7 @@ _STUDY_KEYS = {
     "tol_q": float,
     "max_outer": int,
     "max_inner_beta": int,
-    "damping": float,
+    "damping": float,  # deprecated: validated, then ignored by the solver
 }
 
 _REQUIRED_STUDY_KEYS = ("family", "n_grid", "replicates", "gamma_star")

@@ -2,9 +2,12 @@
 
 The estimating equations match observed degrees and covariate-weighted edge
 sums to their expectations under the edge-marginal family.  They are solved
-by alternation: an inner diagonally preconditioned quasi-Newton pass drives
-the degree residuals to zero at fixed homophily coefficients, and an outer
-Newton step on the profiled covariate residuals updates the coefficients.
+by alternation: an inner Newton solve drives the degree residuals to zero at
+fixed homophily coefficients, and an outer Newton step on the profiled
+covariate residuals updates the coefficients.  The inner Newton steps solve
+the degree Jacobian system matrix-free by conjugate gradients, preconditioned
+with the inverse diagonal of the Jacobian, which approximates the inverse of
+this diagonally balanced matrix to O(1/n^2); they form no n x n matrix.
 The profile Jacobian doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
 """
@@ -25,10 +28,10 @@ from .network import check_diagonally_balanced, covariate_magnitude  # noqa: F40
 class SolverConfig:
     """Tolerances and iteration caps for the alternating solver.
 
-    ``damping`` scales the inner degree-parameter update.  The default is
-    0.5: the all-ones vector is an exact eigenvector of the preconditioned
-    update with eigenvalue 2, so an undamped step oscillates along it and
-    never converges; halving the step makes the iteration a contraction.
+    ``max_inner_beta`` caps the Newton steps of each degree solve.
+    ``damping`` is deprecated and ignored: the degree solver takes Newton
+    steps and halves them only when the residual does not fall.  It is
+    still accepted and validated, so existing configurations keep working.
     """
 
     tol_f: float = 1e-8
@@ -75,6 +78,12 @@ class FitResult:
     @property
     def params(self):
         return Params(self.beta, self.gamma)
+
+
+# Inexact Newton: CG stops at this fraction of the degree residual's norm.
+_CG_RTOL = 1e-3
+# Halvings of a rejected Newton step before the degree solve counts as stalled.
+_MAX_HALVINGS = 40
 
 
 def _pair_index(data, beta, gamma):
@@ -136,15 +145,51 @@ def check_interior_degrees(data, family):
         )
 
 
+def _pcg(data, slope, v, rhs, tol):
+    """Solve J x = rhs by conjugate gradients with the preconditioner 1/v.
+
+    J is the negated degree Jacobian, applied matrix-free as
+    J x = node_pair_sums(slope * (x_i + x_j)); it is symmetric positive
+    semi-definite, and diag(1/v) approximates its inverse to O(1/n^2).
+    Stops once the residual is at most ``tol`` in the infinity norm, after
+    n products, or when the curvature along the search direction vanishes.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = r / v
+    p = z.copy()
+    rz = r @ z
+    for _ in range(data.n):
+        if np.abs(r).max() <= tol:
+            break
+        q = data.node_pair_sums(slope * (p[data.rows] + p[data.cols]))
+        pq = p @ q
+        if not pq > 0.0:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = r / v
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
 def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     """Solve the degree equations at fixed homophily coefficients.
 
-    Takes damped quasi-Newton steps beta += damping * F / v, where v holds
-    the per-node sums of the mean slopes, i.e. the diagonal-inverse
-    approximation to the Jacobian.
+    Takes safeguarded Newton steps.  Each step solves J delta = F for the
+    degree residuals F and the negated degree Jacobian J by conjugate
+    gradients, matrix-free, preconditioned with 1/v, where v holds the
+    per-node sums of the mean slopes (the diagonal-inverse approximation to
+    J^{-1}).  CG stops at a residual of 1e-3 ||F||_inf.  The step is halved
+    until ||F||_inf falls.  ``config.max_inner_beta`` caps the Newton steps.
 
     Returns (beta, iterations, residual_norm) with the residual in the
-    infinity norm at or below ``config.tol_f``.
+    infinity norm at or below ``config.tol_f``; ``iterations`` counts the
+    residual checks, one more than the Newton steps taken.  Raises
+    ``NonConvergenceError`` when the slope sums underflow, a step is not
+    finite, no halving of a step lowers the residual, or the cap is reached.
     """
     family = get_family(family)
     config = config or SolverConfig()
@@ -158,28 +203,47 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     else:
         beta = np.array(beta_init, dtype=float)
 
-    residual = np.inf
+    def residuals(b):
+        pi = b[data.rows] + b[data.cols] + zg
+        f = d - data.node_pair_sums(family.mean(pi))
+        return pi, f, float(np.abs(f).max())
+
+    pi, f, residual = residuals(beta)
     for it in range(1, config.max_inner_beta + 1):
-        pi = beta[data.rows] + beta[data.cols] + zg
-        mu = family.mean(pi)
-        f = d - data.node_pair_sums(mu)
-        residual = float(np.abs(f).max())
         if residual <= config.tol_f:
             return beta, it, residual
-        v = data.node_pair_sums(family.mean_slope(pi))
+        slope = family.mean_slope(pi)
+        v = data.node_pair_sums(slope)
         if not np.all(v > 0.0):
             raise NonConvergenceError(
                 "degree solver diverged: mean-slope row sums underflowed "
                 f"to zero (last residual {residual:.3e})",
                 residual=residual,
             )
-        beta = beta + config.damping * f / v
-        if not np.all(np.isfinite(beta)):
+        step = _pcg(data, slope, v, f, _CG_RTOL * residual)
+        if not np.all(np.isfinite(beta + step)):
             raise NonConvergenceError(
                 f"degree solver diverged to non-finite values "
                 f"(last residual {residual:.3e})",
                 residual=residual,
             )
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = beta + step
+            try:
+                trial_pi, trial_f, trial_residual = residuals(trial)
+            except DataError:
+                # the mean is not finite at the trial index (Poisson overflow)
+                trial_residual = np.inf
+            if trial_residual < residual:
+                break
+            step = 0.5 * step
+        else:
+            raise NonConvergenceError(
+                "degree solver stalled: no fraction of the Newton step down to "
+                f"2^-{_MAX_HALVINGS} lowers the residual (last residual {residual:.3e})",
+                residual=residual,
+            )
+        beta, pi, f, residual = trial, trial_pi, trial_f, trial_residual
 
     raise NonConvergenceError(
         f"degree solver did not reach tol_f={config.tol_f} within "
@@ -364,7 +428,7 @@ def fit(data, family, config=None, init=None):
     trace = []
     for outer in range(1, config.max_outer + 1):
         try:
-            beta, _, f_norm = solve_degree_params(
+            beta, inner_iters, f_norm = solve_degree_params(
                 data, family, gamma, config, beta_init=beta
             )
         except NonConvergenceError as exc:
@@ -379,6 +443,7 @@ def fit(data, family, config=None, init=None):
             {
                 "outer": outer,
                 "residual_degree": f_norm,
+                "inner_iters": inner_iters,
                 "residual_covariate": q_norm,
                 "gamma": gamma.tolist(),
             }

@@ -4,6 +4,8 @@ Everything here is written with explicit double loops over node pairs and
 generic numerical tools (dense root finding, finite differences, adaptive
 quadrature) so that agreement with the package is evidence, not tautology.
 Deliberately slow; only suitable for the small instances used in tests.
+The damped diagonal fixed point for the degree equations is the reference
+algorithm for the package's Newton solver.
 The CSV readers at the end parse one field at a time with ``int`` and
 ``float`` and validate row by row, the reference for the array-based
 readers in ``netmoment.dataio``.
@@ -16,7 +18,9 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import expit, ndtr
 
-from netmoment.errors import DataError
+from netmoment.errors import DataError, NonConvergenceError
+from netmoment.estimation import check_interior_degrees
+from netmoment.families import get_family, initial_degree_params
 from netmoment.network import pair_count
 
 
@@ -125,6 +129,61 @@ def log_ratio_degree_solve_ref(adjacency, covariates, gamma, tol=1e-10, max_iter
             new[i] = np.log(d[i]) - np.log(total)
         beta = new
     raise RuntimeError(f"log-ratio fixed point did not reach tol={tol}")
+
+
+def fixed_point_degree_solve_ref(data, family, gamma, config, beta_init=None):
+    """Degree parameters by the damped diagonal fixed point.
+
+    The reference algorithm: damped quasi-Newton steps
+    beta += config.damping * F / v, where v holds the per-node sums of the
+    mean slopes, i.e. the diagonal-inverse approximation to the Jacobian.
+    The all-ones vector is an exact eigenvector of the preconditioned update
+    with eigenvalue 2, so an undamped step oscillates along it and never
+    converges; damping 0.5 makes the iteration a contraction.
+
+    Returns (beta, iterations, residual_norm) like
+    ``netmoment.estimation.solve_degree_params`` and raises its
+    ``NonConvergenceError``s.
+    """
+    family = get_family(family)
+    check_interior_degrees(data, family)
+
+    gamma = np.asarray(gamma, dtype=float)
+    zg = data.covariates @ gamma
+    d = data.degrees
+    if beta_init is None:
+        beta = initial_degree_params(family, d, data.n)
+    else:
+        beta = np.array(beta_init, dtype=float)
+
+    residual = np.inf
+    for it in range(1, config.max_inner_beta + 1):
+        pi = beta[data.rows] + beta[data.cols] + zg
+        mu = family.mean(pi)
+        f = d - data.node_pair_sums(mu)
+        residual = float(np.abs(f).max())
+        if residual <= config.tol_f:
+            return beta, it, residual
+        v = data.node_pair_sums(family.mean_slope(pi))
+        if not np.all(v > 0.0):
+            raise NonConvergenceError(
+                "degree solver diverged: mean-slope row sums underflowed "
+                f"to zero (last residual {residual:.3e})",
+                residual=residual,
+            )
+        beta = beta + config.damping * f / v
+        if not np.all(np.isfinite(beta)):
+            raise NonConvergenceError(
+                f"degree solver diverged to non-finite values "
+                f"(last residual {residual:.3e})",
+                residual=residual,
+            )
+
+    raise NonConvergenceError(
+        f"degree solver did not reach tol_f={config.tol_f} within "
+        f"{config.max_inner_beta} iterations (last residual {residual:.3e})",
+        residual=residual,
+    )
 
 
 def logistic_loglik_grad_ref(adjacency, covariates, beta, gamma):

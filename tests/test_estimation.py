@@ -14,6 +14,7 @@ from oracles import (
     covariate_residuals_ref,
     degree_residuals_ref,
     fd_jacobian,
+    fixed_point_degree_solve_ref,
     joint_solve_ref,
     log_ratio_degree_solve_ref,
     logistic_loglik_grad_ref,
@@ -153,11 +154,81 @@ class TestDegreeSolver:
         assert np.isfinite(excinfo.value.residual)
 
     def test_undamped_update_diverges(self):
-        # default damping is 0.5 because the undamped step oscillates along
-        # the all-ones eigendirection; this documents the failure
+        # the reference fixed point damps by 0.5 because the undamped step
+        # oscillates along the all-ones eigendirection; this documents the failure
         data, _, gamma = build_instance("logistic", 20, 1, seed=7)
         with pytest.raises(NonConvergenceError):
-            solve_degree_params(data, "logistic", gamma, SolverConfig(damping=1.0))
+            fixed_point_degree_solve_ref(data, "logistic", gamma, SolverConfig(damping=1.0))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_newton_root_matches_fixed_point(self, name):
+        data, _, gamma = build_instance(name, 15, 2, seed=3)
+        b1, _, _ = solve_degree_params(data, name, gamma, TIGHT)
+        b2, _, _ = fixed_point_degree_solve_ref(data, name, gamma, TIGHT)
+        assert np.abs(b1 - b2).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_cold_solve_takes_few_newton_steps(self, name):
+        data, _, gamma = build_instance(name, 200, 2, seed=5)
+        _, iters, residual = solve_degree_params(data, name, gamma)
+        assert residual <= 1e-8
+        assert iters <= 10
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_preconditioned_cg_needs_few_products(self, name):
+        # diag(1/v) approximates the inverse Jacobian, so CG reaches the
+        # inexact-Newton tolerance in a handful of Jacobian products even
+        # with heterogeneous degrees (unpreconditioned Poisson needs 7)
+        data, _, gamma = build_instance(name, 200, 2, seed=5, beta_scale=1.0)
+        fam = get_family(name)
+        beta = initial_degree_params(fam, data.degrees, data.n)
+        f = degree_residuals(data, fam, beta, gamma)
+        slope = fam.mean_slope(estimation._pair_index(data, beta, gamma))
+        v = data.node_pair_sums(slope)
+        products = []
+        pair_sums = data.node_pair_sums
+
+        def counting_pair_sums(x):
+            products.append(x)
+            return pair_sums(x)
+
+        data.node_pair_sums = counting_pair_sums
+        tol = estimation._CG_RTOL * np.abs(f).max()
+        step = estimation._pcg(data, slope, v, f, tol)
+        assert len(products) <= 4
+        assert np.abs(f - pair_sums(slope * (step[data.rows] + step[data.cols]))).max() <= tol
+
+    def test_rejected_full_step_is_halved(self, monkeypatch):
+        # acceptance criterion 3's corpus instance 4 (logistic, n=5, p=1)
+        # near its fitted gamma: from the starting values a full Newton step
+        # raises the residual (and the fixed point's slope sums underflow);
+        # with step halving the solve reaches the root
+        data, _, _ = build_fittable_instance("logistic", 5, 1, seed=3000 + 17 * 4)
+        gamma = np.array([3.27])
+        beta, _, _ = solve_degree_params(data, "logistic", gamma, TIGHT)
+        f_ref = degree_residuals_ref(data.adjacency, data.covariates, "logistic", beta, gamma)
+        assert np.abs(f_ref).max() <= 1e-9
+        monkeypatch.setattr(estimation, "_MAX_HALVINGS", 0)
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            solve_degree_params(data, "logistic", gamma, TIGHT)
+
+    def test_overflowing_trial_is_halved(self):
+        # from beta = -5 the first full Poisson step puts indices beyond the
+        # range of exp; such a trial counts as rejected, not as a data error
+        data, _, gamma = build_instance("poisson", 15, 2, seed=3)
+        beta, _, residual = solve_degree_params(
+            data, "poisson", gamma, TIGHT, beta_init=np.full(15, -5.0)
+        )
+        assert residual <= TIGHT.tol_f
+        beta_ref, _, _ = fixed_point_degree_solve_ref(data, "poisson", gamma, TIGHT)
+        assert np.abs(beta - beta_ref).max() <= 1e-9
+
+    def test_damping_is_ignored(self):
+        data, _, gamma = build_instance("logistic", 20, 1, seed=7)
+        b1, it1, _ = solve_degree_params(data, "logistic", gamma)
+        b2, it2, _ = solve_degree_params(data, "logistic", gamma, SolverConfig(damping=1.0))
+        assert it1 == it2
+        assert np.array_equal(b1, b2)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_converges_for_all_families(self, name):
@@ -284,6 +355,20 @@ class TestFit:
         assert excinfo.value.trace
         assert excinfo.value.trace[0]["outer"] == 1
 
+
+    def test_trace_records_inner_iterations(self, monkeypatch):
+        counts = []
+
+        def counting_solve(*args, **kwargs):
+            beta, iters, residual = solve_degree_params(*args, **kwargs)
+            counts.append(iters)
+            return beta, iters, residual
+
+        monkeypatch.setattr(estimation, "solve_degree_params", counting_solve)
+        data, _, _ = build_instance("logistic", 10, 2, seed=191)
+        result = fit(data, "logistic")
+        assert [entry["inner_iters"] for entry in result.trace] == counts
+        assert all(c >= 1 for c in counts)
 
     def test_inner_failure_keeps_outer_trace(self):
         data, _, _ = build_instance("logistic", 10, 2, seed=191)
