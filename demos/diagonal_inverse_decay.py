@@ -4,9 +4,10 @@ The Jacobian of the degree residuals, negated, lands in a special class of
 matrices: strictly positive off-diagonal entries with each diagonal entry
 equal to its row's off-diagonal sum.  For that class the inverse is close
 to the inverse of the diagonal alone, and the gap shrinks as the network
-grows.  The inner solver exploits this: its Newton steps run conjugate
-gradients preconditioned with that diagonal matrix instead of factorizing
-anything.
+grows.  The consistency argument for the moment estimator rests on this.
+The package's Newton solver factorizes the dense Jacobian all the same:
+with the covariate columns to solve as well, that measured faster than
+conjugate gradients preconditioned with the diagonal matrix.
 
 This script verifies class membership for Jacobians from all three edge
 families and then measures the max-norm gap between the true inverse and

@@ -34,7 +34,7 @@ def main():
     print(f"observed degrees range from {degrees.min():.0f} to {degrees.max():.0f}")
 
     result = fit(data, "logistic")
-    print(f"\nconverged: {result.converged} after {result.iterations} outer steps")
+    print(f"\nconverged: {result.converged} after {result.iterations} Newton iterates")
     print(f"degree residual  {result.residual_degree:.2e}")
     print(f"profile residual {result.residual_covariate:.2e}")
 

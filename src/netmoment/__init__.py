@@ -37,7 +37,6 @@ from .estimation import (
     fit,
     homophily_bias,
     profile_jacobian,
-    profile_residuals,
     solve_degree_params,
     standard_errors,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "pair_offset",
     "parse_study_config",
     "profile_jacobian",
-    "profile_residuals",
     "random_balanced_matrix",
     "read_edges",
     "read_node_attrs",

@@ -46,12 +46,14 @@ def _build_parser():
     )
     fit_p.add_argument("--tol-f", type=float, default=SolverConfig.tol_f)
     fit_p.add_argument("--tol-q", type=float, default=SolverConfig.tol_q)
-    fit_p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    fit_p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,
+                       help="cap on the iterates of the joint Newton iteration")
     fit_p.add_argument(
         "--max-inner-beta",
         type=int,
         default=SolverConfig.max_inner_beta,
-        help="cap on the Newton steps of each degree-parameter solve",
+        help="ignored: it caps only solve_degree_params, not fit; accepted so "
+        "existing scripts run",
     )
     fit_p.add_argument(
         "--damping",

@@ -21,7 +21,15 @@ class DegenerateDegreeError(DataError):
 
 
 class SingularDesignError(NetmomentError, ValueError):
-    """A required linear solve is singular (collinear covariate design)."""
+    """A required linear solve is singular (collinear covariate design).
+
+    ``trace`` holds the per-iteration history of ``fit`` up to the failure;
+    it is empty when the error comes from elsewhere.
+    """
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.trace = []
 
 
 class NonConvergenceError(NetmomentError, RuntimeError):

@@ -1,14 +1,14 @@
 """Moment estimation of degree and homophily parameters.
 
-The estimating equations match observed degrees and covariate-weighted edge
-sums to their expectations under the edge-marginal family.  They are solved
-by alternation: an inner Newton solve drives the degree residuals to zero at
-fixed homophily coefficients, and an outer Newton step on the profiled
-covariate residuals updates the coefficients.  The inner Newton steps solve
-the degree Jacobian system matrix-free by conjugate gradients, preconditioned
-with the inverse diagonal of the Jacobian, which approximates the inverse of
-this diagonally balanced matrix to O(1/n^2); they form no n x n matrix.
-The profile Jacobian doubles as the curvature matrix for the analytic
+The estimating equations match observed degrees (F = 0) and covariate-weighted
+edge sums (Q = 0) to their expectations under the edge-marginal family.  They
+are solved jointly in (beta, gamma) by safeguarded Newton steps.  Each step
+factors the dense degree Jacobian V once and solves it against the columns
+[F, dF/dgamma]; the coefficient step comes from the Schur complement
+H = dQ/dgamma - dF/dgamma^T V^{-1} dF/dgamma, which is the profile Jacobian of
+the covariate residuals, and the degree step by back-substitution.  The degree
+equations alone, at fixed coefficients, are solved by the same iteration.
+H at the root doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
 """
 
@@ -26,12 +26,13 @@ from .network import check_diagonally_balanced, covariate_magnitude  # noqa: F40
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps for the alternating solver.
+    """Tolerances and iteration caps for the Newton solver.
 
-    ``max_inner_beta`` caps the Newton steps of each degree solve.
-    ``damping`` is deprecated and ignored: the degree solver takes Newton
-    steps and halves them only when the residual does not fall.  It is
-    still accepted and validated, so existing configurations keep working.
+    ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate
+    residuals.  ``max_outer`` caps the iterates of ``fit``, and
+    ``max_inner_beta`` only those of ``solve_degree_params``.  ``damping``
+    is deprecated and ignored, but still accepted and validated, so existing
+    configurations keep working.
     """
 
     tol_f: float = 1e-8
@@ -80,10 +81,12 @@ class FitResult:
         return Params(self.beta, self.gamma)
 
 
-# Inexact Newton: CG stops at this fraction of the degree residual's norm.
-_CG_RTOL = 1e-3
-# Halvings of a rejected Newton step before the degree solve counts as stalled.
+# Halvings of a rejected Newton step before the iteration counts as stalled.
 _MAX_HALVINGS = 40
+# Longest Newton step (max-norm over beta and gamma) tried before halving.  A
+# Poisson step far below the root can reach 1e17, which 2^-40 cannot bring into
+# exp's range; steps from the package's starting values stay far below 1e6.
+_MAX_STEP = 1e6
 
 
 def _pair_index(data, beta, gamma):
@@ -145,127 +148,15 @@ def check_interior_degrees(data, family):
         )
 
 
-def _pcg(data, slope, v, rhs, tol):
-    """Solve J x = rhs by conjugate gradients with the preconditioner 1/v.
-
-    J is the negated degree Jacobian, applied matrix-free as
-    J x = node_pair_sums(slope * (x_i + x_j)); it is symmetric positive
-    semi-definite, and diag(1/v) approximates its inverse to O(1/n^2).
-    Stops once the residual is at most ``tol`` in the infinity norm, after
-    n products, or when the curvature along the search direction vanishes.
-    """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = r / v
-    p = z.copy()
-    rz = r @ z
-    for _ in range(data.n):
-        if np.abs(r).max() <= tol:
-            break
-        q = data.node_pair_sums(slope * (p[data.rows] + p[data.cols]))
-        pq = p @ q
-        if not pq > 0.0:
-            break
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = r / v
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return x
-
-
-def solve_degree_params(data, family, gamma, config=None, beta_init=None):
-    """Solve the degree equations at fixed homophily coefficients.
-
-    Takes safeguarded Newton steps.  Each step solves J delta = F for the
-    degree residuals F and the negated degree Jacobian J by conjugate
-    gradients, matrix-free, preconditioned with 1/v, where v holds the
-    per-node sums of the mean slopes (the diagonal-inverse approximation to
-    J^{-1}).  CG stops at a residual of 1e-3 ||F||_inf.  The step is halved
-    until ||F||_inf falls.  ``config.max_inner_beta`` caps the Newton steps.
-
-    Returns (beta, iterations, residual_norm) with the residual in the
-    infinity norm at or below ``config.tol_f``; ``iterations`` counts the
-    residual checks, one more than the Newton steps taken.  Raises
-    ``NonConvergenceError`` when the slope sums underflow, a step is not
-    finite, no halving of a step lowers the residual, or the cap is reached.
-    """
-    family = get_family(family)
-    config = config or SolverConfig()
-    check_interior_degrees(data, family)
-
-    gamma = np.asarray(gamma, dtype=float)
-    zg = data.covariates @ gamma
-    d = data.degrees
-    if beta_init is None:
-        beta = initial_degree_params(family, d, data.n)
-    else:
-        beta = np.array(beta_init, dtype=float)
-
-    def residuals(b):
-        pi = b[data.rows] + b[data.cols] + zg
-        f = d - data.node_pair_sums(family.mean(pi))
-        return pi, f, float(np.abs(f).max())
-
-    pi, f, residual = residuals(beta)
-    for it in range(1, config.max_inner_beta + 1):
-        if residual <= config.tol_f:
-            return beta, it, residual
-        slope = family.mean_slope(pi)
-        v = data.node_pair_sums(slope)
-        if not np.all(v > 0.0):
-            raise NonConvergenceError(
-                "degree solver diverged: mean-slope row sums underflowed "
-                f"to zero (last residual {residual:.3e})",
-                residual=residual,
-            )
-        step = _pcg(data, slope, v, f, _CG_RTOL * residual)
-        if not np.all(np.isfinite(beta + step)):
-            raise NonConvergenceError(
-                f"degree solver diverged to non-finite values "
-                f"(last residual {residual:.3e})",
-                residual=residual,
-            )
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = beta + step
-            try:
-                trial_pi, trial_f, trial_residual = residuals(trial)
-            except DataError:
-                # the mean is not finite at the trial index (Poisson overflow)
-                trial_residual = np.inf
-            if trial_residual < residual:
-                break
-            step = 0.5 * step
-        else:
-            raise NonConvergenceError(
-                "degree solver stalled: no fraction of the Newton step down to "
-                f"2^-{_MAX_HALVINGS} lowers the residual (last residual {residual:.3e})",
-                residual=residual,
-            )
-        beta, pi, f, residual = trial, trial_pi, trial_f, trial_residual
-
-    raise NonConvergenceError(
-        f"degree solver did not reach tol_f={config.tol_f} within "
-        f"{config.max_inner_beta} iterations (last residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-def profile_residuals(data, family, gamma, config=None, beta_init=None):
-    """Covariate residuals with the degree parameters concentrated out."""
-    beta, _, _ = solve_degree_params(data, family, gamma, config, beta_init)
-    return covariate_residuals(data, family, beta, gamma)
-
-
 class _Curvature(NamedTuple):
-    """The curvature of the moment system at (beta, gamma), evaluated once.
+    """The curvature of the moment system at one pair index, evaluated once.
 
     ``solved`` is V^{-1} dF/dgamma for the dense degree Jacobian V, ``h``
     the profile Jacobian built from it, and ``scale`` the magnitude of H's
     unprofiled first block.  The scale recognizes designs that the degree
     effects absorb completely: there the two blocks cancel and H collapses
     to rounding noise, which a raw solve would not flag as singular.
+    ``solved_f`` is V^{-1} F when the degree residuals F were given.
     """
 
     pi: np.ndarray
@@ -273,31 +164,23 @@ class _Curvature(NamedTuple):
     solved: np.ndarray
     h: np.ndarray
     scale: float
+    solved_f: np.ndarray = None
 
 
-def _curvature(data, family, beta, gamma):
-    z = data.covariates
-    pi = _pair_index(data, beta, gamma)
-    slope = family.mean_slope(pi)
+def _curvature(data, z, pi, slope, f=None):
     dq_dgamma = -(z * slope[:, None]).T @ z
     df_dgamma = -data.node_pair_sums(z * slope[:, None])
+    # one factorization of V serves F's column too when a step needs it
+    rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
     try:
-        solved = np.linalg.solve(_jacobian_from_slopes(data, slope), df_dgamma)
+        solved = np.linalg.solve(_jacobian_from_slopes(data, slope), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
+    solved_f = None
+    if f is not None:
+        solved_f, solved = solved[:, 0], solved[:, 1:]
     h = dq_dgamma - df_dgamma.T @ solved
-    return _Curvature(pi, slope, solved, h, float(np.abs(dq_dgamma).max()))
-
-
-def profile_jacobian(data, family, beta, gamma):
-    """Derivative of the profiled covariate residuals in the coefficients.
-
-    Assembled from the analytic blocks of the joint system; the inner solve
-    against the degree Jacobian uses a dense factorization, not the diagonal
-    approximation, because this matrix feeds bias correction and standard
-    errors.
-    """
-    return _curvature(data, get_family(family), beta, gamma).h
+    return _Curvature(pi, slope, solved, h, float(np.abs(dq_dgamma).max(initial=0.0)), solved_f)
 
 
 def _assert_profile_invertible(h, scale):
@@ -319,6 +202,147 @@ def _assert_profile_invertible(h, scale):
         raise SingularDesignError(
             "profile Jacobian is rank deficient: collinear covariate columns"
         )
+
+
+class _Iterate(NamedTuple):
+    """Parameters, their pair index, and the moment residuals there."""
+
+    beta: np.ndarray
+    gamma: np.ndarray
+    pi: np.ndarray
+    f: np.ndarray
+    q: np.ndarray
+    f_norm: float
+    q_norm: float
+    merit: float
+
+
+class _MomentSystem:
+    """The equations F = 0 and Q = 0 in (beta, gamma).
+
+    gamma are the coefficients on the pair covariate columns ``z``; the part
+    of the index held fixed is ``offset``.  With no columns, Q is empty and
+    the system is the degree equations alone.
+    """
+
+    def __init__(self, data, family, z, offset):
+        self.data = data
+        self.family = family
+        self.z = z
+        self.offset = offset
+        self.degrees = data.degrees
+        self.weights = data.pair_weights
+        self.label = "joint solver" if z.shape[1] else "degree solver"
+
+    def evaluate(self, beta, gamma):
+        data = self.data
+        pi = beta[data.rows] + beta[data.cols] + self.offset + self.z @ gamma
+        mu = self.family.mean(pi)
+        f = self.degrees - data.node_pair_sums(mu)
+        q = self.z.T @ (self.weights - mu)
+        f_norm, q_norm = float(np.abs(f).max()), float(np.abs(q).max(initial=0.0))
+        return _Iterate(beta, gamma, pi, f, q, f_norm, q_norm, max(f_norm, q_norm))
+
+    def solve(self, beta, gamma, tol_f, tol_q, max_steps, trace=None):
+        """Safeguarded Newton iteration from (beta, gamma).
+
+        Returns the first iterate with ||F||_inf <= tol_f and
+        ||Q||_inf <= tol_q, or the last when ``max_steps`` iterates are
+        evaluated first, together with the number of iterates.  Each iterate
+        gets one entry in ``trace`` when a list is given.
+        """
+        state = self.evaluate(beta, gamma)
+        halvings = 0
+        for it in range(1, max_steps + 1):
+            if trace is not None:
+                trace.append({"outer": it, "residual_degree": state.f_norm,
+                              "residual_covariate": state.q_norm,
+                              "gamma": state.gamma.tolist(), "halvings": halvings})
+            if (state.f_norm <= tol_f and state.q_norm <= tol_q) or it == max_steps:
+                return state, it
+            state, halvings = self._step(state)
+
+    def _step(self, state):
+        """One Newton step, halved until the larger residual norm falls."""
+        data, merit = self.data, state.merit
+        slope = self.family.mean_slope(state.pi)
+        if not np.all(data.node_pair_sums(slope) > 0.0):
+            raise NonConvergenceError(
+                f"{self.label} diverged: mean-slope row sums underflowed "
+                f"to zero (last residual {merit:.3e})",
+                residual=merit,
+            )
+        curv = _curvature(data, self.z, state.pi, slope, state.f)
+        if self.z.shape[1]:
+            _assert_profile_invertible(curv.h, curv.scale)
+        # the Schur complement H gives the coefficient step, back-substitution the degree step
+        d_gamma = -np.linalg.solve(curv.h, state.q - curv.solved.T @ state.f)
+        d_beta = -(curv.solved_f + curv.solved @ d_gamma)
+        if not (np.all(np.isfinite(d_beta)) and np.all(np.isfinite(d_gamma))):
+            raise NonConvergenceError(
+                f"{self.label} diverged to non-finite values (last residual {merit:.3e})",
+                residual=merit,
+            )
+        length = max(np.abs(d_beta).max(), np.abs(d_gamma).max(initial=0.0))
+        scale = _MAX_STEP / length if length > _MAX_STEP else 1.0
+        for halvings in range(_MAX_HALVINGS + 1):
+            try:
+                trial = self.evaluate(state.beta + scale * d_beta, state.gamma + scale * d_gamma)
+            except DataError:
+                trial = None  # the mean is not finite at the trial index (Poisson overflow)
+            if trial is not None and trial.merit < merit:
+                return trial, halvings
+            scale *= 0.5
+        raise NonConvergenceError(
+            f"{self.label} stalled: no fraction of the Newton step down to "
+            f"2^-{_MAX_HALVINGS} lowers the residual (last residual {merit:.3e})",
+            residual=merit,
+        )
+
+
+def solve_degree_params(data, family, gamma, config=None, beta_init=None):
+    """Solve the degree equations at fixed homophily coefficients.
+
+    Takes the Newton steps of ``fit`` with the coefficients held fixed, so
+    each step solves the dense degree Jacobian against the degree residuals
+    F.  ``config.max_inner_beta`` caps the iterates.
+
+    Returns (beta, iterations, residual_norm) with the residual in the
+    infinity norm at or below ``config.tol_f``; ``iterations`` counts the
+    residual checks, one more than the Newton steps taken.  Raises
+    ``NonConvergenceError`` when the slope sums underflow, a step is not
+    finite, no halving of a step lowers the residual, or the cap is reached.
+    """
+    family = get_family(family)
+    config = config or SolverConfig()
+    check_interior_degrees(data, family)
+
+    if beta_init is None:
+        beta_init = initial_degree_params(family, data.degrees, data.n)
+    beta = np.array(beta_init, dtype=float)
+    offset = data.covariates @ np.asarray(gamma, dtype=float)
+    system = _MomentSystem(data, family, data.covariates[:, :0], offset)
+    state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_inner_beta)
+    if state.f_norm > config.tol_f:
+        raise NonConvergenceError(
+            f"degree solver did not reach tol_f={config.tol_f} within "
+            f"{config.max_inner_beta} iterations (last residual {state.f_norm:.3e})",
+            residual=state.f_norm,
+        )
+    return state.beta, iterations, state.f_norm
+
+
+def profile_jacobian(data, family, beta, gamma):
+    """Derivative of the profiled covariate residuals in the coefficients.
+
+    Assembled from the analytic blocks of the joint system; the inner solve
+    against the degree Jacobian uses a dense factorization, not the diagonal
+    approximation, because this matrix feeds bias correction and standard
+    errors.
+    """
+    family = get_family(family)
+    pi = _pair_index(data, beta, gamma)
+    return _curvature(data, data.covariates, pi, family.mean_slope(pi)).h
 
 
 def _homophily_bias(data, family, pi, slope):
@@ -380,7 +404,8 @@ def standard_errors(data, family, beta, gamma):
     per-pair scores.  Valid under independent dyads.
     """
     family = get_family(family)
-    curv = _curvature(data, family, beta, gamma)
+    pi = _pair_index(data, beta, gamma)
+    curv = _curvature(data, data.covariates, pi, family.mean_slope(pi))
     _assert_profile_invertible(curv.h, curv.scale)
     return _standard_errors(data, family, curv)
 
@@ -400,19 +425,21 @@ def _diagnostics(data, curv):
 
 
 def fit(data, family, config=None, init=None):
-    """Fit degree and homophily parameters by alternating moment matching.
+    """Fit degree and homophily parameters by joint moment matching.
 
-    Each outer pass re-solves the degree equations at the current
-    coefficients (warm-started), evaluates the curvature once, and applies
-    one Newton step on the profiled covariate residuals.  Convergence means
-    both residual norms are at or below their tolerances; the curvature of
-    the converged pass then yields the bias-corrected coefficients, the
-    standard errors, and the solver diagnostics.
+    Takes safeguarded Newton steps on the degree and covariate residuals in
+    (beta, gamma) together (see the module docstring).  A step longer than
+    1e6 in the max-norm is scaled down to it, and a step is halved until the
+    larger of the two residual norms falls.  Convergence means both norms
+    are at or below their tolerances at the same iterate; the curvature
+    there yields the bias-corrected coefficients, the standard errors, and
+    the solver diagnostics.  The trace holds one entry per iterate.
 
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and
-    ``NonConvergenceError`` (with the iteration trace attached) when the
-    outer cap is reached or an inner degree solve fails.
+    ``NonConvergenceError`` when ``config.max_outer`` iterates do not reach
+    the tolerances or a step diverges or stalls.  Both of the latter carry
+    the trace of the iterates so far.
     """
     family = get_family(family)
     config = config or SolverConfig()
@@ -425,66 +452,38 @@ def fit(data, family, config=None, init=None):
         beta = initial_degree_params(family, data.degrees, data.n)
         gamma = np.zeros(data.n_covariates)
 
+    system = _MomentSystem(data, family, data.covariates, 0.0)
     trace = []
-    for outer in range(1, config.max_outer + 1):
-        try:
-            beta, inner_iters, f_norm = solve_degree_params(
-                data, family, gamma, config, beta_init=beta
-            )
-        except NonConvergenceError as exc:
-            trace.append(
-                {"outer": outer, "residual_degree": exc.residual, "gamma": gamma.tolist()}
-            )
-            exc.trace = trace
-            raise
-        qc = covariate_residuals(data, family, beta, gamma)
-        q_norm = float(np.abs(qc).max())
-        trace.append(
-            {
-                "outer": outer,
-                "residual_degree": f_norm,
-                "inner_iters": inner_iters,
-                "residual_covariate": q_norm,
-                "gamma": gamma.tolist(),
-            }
+    try:
+        state, iterations = system.solve(
+            beta, gamma, config.tol_f, config.tol_q, config.max_outer, trace
         )
-        curv = _curvature(data, family, beta, gamma)
+        if state.f_norm > config.tol_f or state.q_norm > config.tol_q:
+            raise NonConvergenceError(
+                f"no convergence within {config.max_outer} outer iterations "
+                f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
+                residual=state.merit,
+            )
+        curv = _curvature(data, data.covariates, state.pi, family.mean_slope(state.pi))
         _assert_profile_invertible(curv.h, curv.scale)
-        if q_norm <= config.tol_q:
-            break
-        try:
-            step = np.linalg.solve(curv.h, qc)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(
-                "profile Jacobian is singular; covariate design is collinear "
-                f"with the degree effects ({exc})"
-            ) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularDesignError("profile Newton step is not finite")
-        gamma = gamma - step
-    else:
-        raise NonConvergenceError(
-            f"no convergence within {config.max_outer} outer iterations "
-            f"(residuals: degree {f_norm:.3e}, covariate {q_norm:.3e})",
-            residual=q_norm,
-            trace=trace,
-        )
-
-    bias = _homophily_bias(data, family, curv.pi, curv.slope)
-    gamma_bc = bias_correct(gamma, curv.h, bias, data.n)
-    se_beta, se_gamma = _standard_errors(data, family, curv)
+        bias = _homophily_bias(data, family, curv.pi, curv.slope)
+        gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)
+        se_beta, se_gamma = _standard_errors(data, family, curv)
+    except (NonConvergenceError, SingularDesignError) as exc:
+        exc.trace = trace
+        raise
     return FitResult(
-        beta=beta,
-        gamma=gamma,
+        beta=state.beta,
+        gamma=state.gamma,
         gamma_bc=gamma_bc,
         se_beta=se_beta,
         se_gamma=se_gamma,
         bias=bias,
         profile_hessian=curv.h,
         converged=True,
-        iterations=outer,
-        residual_degree=f_norm,
-        residual_covariate=q_norm,
+        iterations=iterations,
+        residual_degree=state.f_norm,
+        residual_covariate=state.q_norm,
         diagnostics=_diagnostics(data, curv),
         trace=trace,
     )

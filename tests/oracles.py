@@ -5,7 +5,8 @@ generic numerical tools (dense root finding, finite differences, adaptive
 quadrature) so that agreement with the package is evidence, not tautology.
 Deliberately slow; only suitable for the small instances used in tests.
 The damped diagonal fixed point for the degree equations is the reference
-algorithm for the package's Newton solver.
+algorithm for the package's Newton solver, and the alternating inner/outer
+solve is the reference for its joint Newton iteration.
 The CSV readers at the end parse one field at a time with ``int`` and
 ``float`` and validate row by row, the reference for the array-based
 readers in ``netmoment.dataio``.
@@ -19,7 +20,15 @@ from scipy import integrate, optimize
 from scipy.special import expit, ndtr
 
 from netmoment.errors import DataError, NonConvergenceError
-from netmoment.estimation import check_interior_degrees
+from netmoment.estimation import (
+    bias_correct,
+    check_interior_degrees,
+    covariate_residuals,
+    homophily_bias,
+    profile_jacobian,
+    solve_degree_params,
+    standard_errors,
+)
 from netmoment.families import get_family, initial_degree_params
 from netmoment.network import pair_count
 
@@ -184,6 +193,38 @@ def fixed_point_degree_solve_ref(data, family, gamma, config, beta_init=None):
         f"{config.max_inner_beta} iterations (last residual {residual:.3e})",
         residual=residual,
     )
+
+
+def profile_residuals(data, family, gamma, config=None, beta_init=None):
+    """Covariate residuals with the degree parameters concentrated out."""
+    beta, _, _ = solve_degree_params(data, family, gamma, config, beta_init)
+    return covariate_residuals(data, family, beta, gamma)
+
+
+def alternating_fit_ref(data, family, config):
+    """Fit by alternation: the solver ``netmoment.estimation.fit`` replaced.
+
+    Every outer pass solves the degree equations to ``config.tol_f`` at the
+    current coefficients (warm-started), then takes one Newton step on the
+    profiled covariate residuals with the profile Jacobian, until those are
+    at or below ``config.tol_q``.  Inference comes from the public functions
+    at the root.  Returns (beta, gamma, gamma_bc, se_gamma).
+    """
+    family = get_family(family)
+    beta = initial_degree_params(family, data.degrees, data.n)
+    gamma = np.zeros(data.n_covariates)
+    for _ in range(config.max_outer):
+        beta, _, _ = solve_degree_params(data, family, gamma, config, beta_init=beta)
+        qc = covariate_residuals(data, family, beta, gamma)
+        h = profile_jacobian(data, family, beta, gamma)
+        if np.abs(qc).max() <= config.tol_q:
+            break
+        gamma = gamma - np.linalg.solve(h, qc)
+    else:
+        raise NonConvergenceError(f"alternating fit did not converge in {config.max_outer} passes")
+    gamma_bc = bias_correct(gamma, h, homophily_bias(data, family, beta, gamma), data.n)
+    _, se_gamma = standard_errors(data, family, beta, gamma)
+    return beta, gamma, gamma_bc, se_gamma
 
 
 def logistic_loglik_grad_ref(adjacency, covariates, beta, gamma):

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_instance
+from netmoment import estimation
 from netmoment.cli import main
-from netmoment.dataio import read_pair_covariates
+from netmoment.dataio import read_pair_covariates, write_edges, write_pair_covariates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 N_NODES = 12
@@ -263,15 +265,23 @@ class TestFit:
         assert len(payload["trace"]) >= 1
         assert "residual_covariate" in payload["trace"][0]
 
-    def test_inner_non_convergence_keeps_outer_trace(self, noisy_files, tmp_path):
-        edges, covariates = noisy_files
+    def test_stall_keeps_trace(self, tmp_path, monkeypatch):
+        # the first full Newton step on this network is rejected; with no
+        # halvings allowed the fit stalls at its starting point
+        data, _, _ = build_instance("poisson", 10, 2, seed=182)
+        edges, covariates = tmp_path / "edges.csv", tmp_path / "z.csv"
+        write_edges(edges, data)
+        write_pair_covariates(covariates, data)
+        monkeypatch.setattr(estimation, "_MAX_HALVINGS", 0)
         out = tmp_path / "fail.json"
-        code = main(["fit", "--family", "logistic", "--edges", edges,
-                     "--pair-covariates", covariates,
-                     "--max-inner-beta", "2", "--out", str(out)])
+        code = main(["fit", "--family", "poisson", "--edges", str(edges),
+                     "--pair-covariates", str(covariates), "--out", str(out)])
         assert code == 2
-        trace = json.loads(out.read_text())["trace"]
-        assert trace and trace[-1]["outer"] == 1
+        payload = json.loads(out.read_text())
+        assert "stalled" in payload["error"]
+        (entry,) = payload["trace"]
+        assert entry["outer"] == 1
+        assert entry["halvings"] == 0
 
     def test_constant_covariate_exits_one(self, noisy_files, tmp_path, capsys):
         edges, _ = noisy_files
@@ -284,6 +294,7 @@ class TestFit:
                      "--pair-covariates", str(covariates)])
         assert code == 1
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert err.startswith("error: ") and "profile Jacobian" in err
         assert "Traceback" not in err
 

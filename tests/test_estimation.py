@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -11,6 +13,7 @@ from conftest import (
     build_noise_free,
 )
 from oracles import (
+    alternating_fit_ref,
     covariate_residuals_ref,
     degree_residuals_ref,
     fd_jacobian,
@@ -19,6 +22,7 @@ from oracles import (
     log_ratio_degree_solve_ref,
     logistic_loglik_grad_ref,
     profile_jacobian_fd,
+    profile_residuals,
 )
 from netmoment.errors import (
     DataError,
@@ -35,13 +39,13 @@ from netmoment.estimation import (
     fit,
     homophily_bias,
     profile_jacobian,
-    profile_residuals,
     solve_degree_params,
     standard_errors,
 )
 from netmoment import estimation, network
 from netmoment.families import get_family, initial_degree_params
-from netmoment.network import NetworkData, check_diagonally_balanced, pair_indices
+from netmoment.network import NetworkData, check_diagonally_balanced, pair_indices, pair_offset
+from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
 FAMILIES = ["logistic", "poisson", "probit"]
 
@@ -174,30 +178,6 @@ class TestDegreeSolver:
         assert residual <= 1e-8
         assert iters <= 10
 
-    @pytest.mark.parametrize("name", FAMILIES)
-    def test_preconditioned_cg_needs_few_products(self, name):
-        # diag(1/v) approximates the inverse Jacobian, so CG reaches the
-        # inexact-Newton tolerance in a handful of Jacobian products even
-        # with heterogeneous degrees (unpreconditioned Poisson needs 7)
-        data, _, gamma = build_instance(name, 200, 2, seed=5, beta_scale=1.0)
-        fam = get_family(name)
-        beta = initial_degree_params(fam, data.degrees, data.n)
-        f = degree_residuals(data, fam, beta, gamma)
-        slope = fam.mean_slope(estimation._pair_index(data, beta, gamma))
-        v = data.node_pair_sums(slope)
-        products = []
-        pair_sums = data.node_pair_sums
-
-        def counting_pair_sums(x):
-            products.append(x)
-            return pair_sums(x)
-
-        data.node_pair_sums = counting_pair_sums
-        tol = estimation._CG_RTOL * np.abs(f).max()
-        step = estimation._pcg(data, slope, v, f, tol)
-        assert len(products) <= 4
-        assert np.abs(f - pair_sums(slope * (step[data.rows] + step[data.cols]))).max() <= tol
-
     def test_rejected_full_step_is_halved(self, monkeypatch):
         # acceptance criterion 3's corpus instance 4 (logistic, n=5, p=1)
         # near its fitted gamma: from the starting values a full Newton step
@@ -222,6 +202,20 @@ class TestDegreeSolver:
         assert residual <= TIGHT.tol_f
         beta_ref, _, _ = fixed_point_degree_solve_ref(data, "poisson", gamma, TIGHT)
         assert np.abs(beta - beta_ref).max() <= 1e-9
+
+    def test_far_poisson_start_is_capped(self, monkeypatch):
+        # from beta = -20 every Poisson mean is about e^-40, so the first
+        # Newton step is about 1e17 long and no halving of it within 2^-40
+        # stays inside exp's range; capped at 1e6, it is halved into range
+        data, _, gamma = build_instance("poisson", 15, 2, seed=3)
+        start = np.full(15, -20.0)
+        beta, _, residual = solve_degree_params(data, "poisson", gamma, TIGHT, beta_init=start)
+        assert residual <= TIGHT.tol_f
+        beta_ref, _, _ = fixed_point_degree_solve_ref(data, "poisson", gamma, TIGHT)
+        assert np.abs(beta - beta_ref).max() <= 1e-9
+        monkeypatch.setattr(estimation, "_MAX_STEP", np.inf)
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            solve_degree_params(data, "poisson", gamma, TIGHT, beta_init=start)
 
     def test_damping_is_ignored(self):
         data, _, gamma = build_instance("logistic", 20, 1, seed=7)
@@ -338,8 +332,11 @@ class TestFit:
     def test_constant_covariate_is_singular_design(self):
         data, _, _ = build_instance("logistic", 8, 1, seed=181)
         constant = NetworkData(data.adjacency, np.ones((data.n_pairs, 1)))
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError) as excinfo:
             fit(constant, "logistic")
+        (entry,) = excinfo.value.trace
+        assert entry["outer"] == 1
+        assert entry["gamma"] == [0.0]
 
     def test_degenerate_degrees_rejected(self):
         n = 6
@@ -356,32 +353,119 @@ class TestFit:
         assert excinfo.value.trace[0]["outer"] == 1
 
 
-    def test_trace_records_inner_iterations(self, monkeypatch):
-        counts = []
+    def test_trace_records_halvings(self, monkeypatch):
+        # each step evaluates the residuals once per trial, so the trace's
+        # halvings account for every evaluation after the starting point
+        evaluations = []
+        evaluate = estimation._MomentSystem.evaluate
 
-        def counting_solve(*args, **kwargs):
-            beta, iters, residual = solve_degree_params(*args, **kwargs)
-            counts.append(iters)
-            return beta, iters, residual
+        def counting_evaluate(self, beta, gamma):
+            evaluations.append(1)
+            return evaluate(self, beta, gamma)
 
-        monkeypatch.setattr(estimation, "solve_degree_params", counting_solve)
-        data, _, _ = build_instance("logistic", 10, 2, seed=191)
-        result = fit(data, "logistic")
-        assert [entry["inner_iters"] for entry in result.trace] == counts
-        assert all(c >= 1 for c in counts)
+        monkeypatch.setattr(estimation._MomentSystem, "evaluate", counting_evaluate)
+        data, _, _ = build_instance("poisson", 10, 2, seed=182)
+        result = fit(data, "poisson")
+        halvings = [entry["halvings"] for entry in result.trace]
+        assert halvings[0] == 0
+        assert max(halvings) >= 1
+        assert len(evaluations) == 1 + sum(h + 1 for h in halvings[1:])
+        assert [entry["outer"] for entry in result.trace] == list(range(1, result.iterations + 1))
 
-    def test_inner_failure_keeps_outer_trace(self):
-        data, _, _ = build_instance("logistic", 10, 2, seed=191)
-        with pytest.raises(NonConvergenceError) as excinfo:
-            fit(data, "logistic", SolverConfig(max_inner_beta=2))
+    def test_stall_keeps_trace(self, monkeypatch):
+        # the first full step of this fit is rejected; with no halvings
+        # allowed the iteration stalls at its starting point
+        data, _, _ = build_instance("poisson", 10, 2, seed=182)
+        monkeypatch.setattr(estimation, "_MAX_HALVINGS", 0)
+        with pytest.raises(NonConvergenceError, match="stalled") as excinfo:
+            fit(data, "poisson")
         (entry,) = excinfo.value.trace
         assert entry["outer"] == 1
         assert entry["gamma"] == [0.0, 0.0]
-        assert entry["residual_degree"] == excinfo.value.residual > 0.0
+        assert entry["halvings"] == 0
+        merit = max(entry["residual_degree"], entry["residual_covariate"])
+        assert merit == excinfo.value.residual > 0.0
+
+    def test_fit_ignores_max_inner_beta(self):
+        data, _, _ = build_instance("logistic", 10, 2, seed=191)
+        capped = fit(data, "logistic", SolverConfig(max_inner_beta=1))
+        default = fit(data, "logistic")
+        assert np.array_equal(capped.gamma, default.gamma)
+        assert capped.trace == default.trace
+
+
+class TestAlternatingOracle:
+    """The joint Newton iteration reaches the root the alternating solver
+    finds, with the same bias correction and standard errors."""
+
+    @staticmethod
+    def _assert_matches(result, reference):
+        beta, gamma, gamma_bc, se_gamma = reference
+        for got, want in ((result.beta, beta), (result.gamma, gamma),
+                          (result.gamma_bc, gamma_bc), (result.se_gamma, se_gamma)):
+            assert np.abs(got - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_alternating_fit(self, name):
+        data, _, _ = build_instance(name, 40, 2, seed=281)
+        self._assert_matches(fit(data, name, TIGHT), alternating_fit_ref(data, name, TIGHT))
+
+    def test_matches_alternating_fit_on_criterion_3_corpus(self):
+        for idx in range(50):
+            name = "logistic" if idx < 25 else "poisson"
+            n = 5 + (idx % 2)
+            p = 1 + ((idx // 2) % 2)
+            data, _, _ = build_fittable_instance(name, n, p, seed=3000 + 17 * idx)
+            self._assert_matches(fit(data, name, TIGHT), alternating_fit_ref(data, name, TIGHT))
+
+
+def _permuted(data, perm):
+    """The same network with node k of the copy being node perm[k]."""
+    rows, cols = pair_indices(data.n)
+    covariates = data.covariates[pair_offset(perm[rows], perm[cols])]
+    return NetworkData(data.adjacency[np.ix_(perm, perm)], covariates)
+
+
+class TestFitProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(FAMILIES), n=st.integers(15, 40), seed=st.integers(0, 10**6),
+           perm_seed=st.integers(0, 10**6))
+    def test_relabelling_nodes_permutes_beta(self, name, n, seed, perm_seed):
+        data, _, _ = build_instance(name, n, 2, seed=seed)
+        perm = np.random.default_rng(perm_seed).permutation(n)
+        result = fit(data, name, TIGHT)
+        relabelled = fit(_permuted(data, perm), name, TIGHT)
+        assert_allclose(relabelled.beta, result.beta[perm], atol=1e-8)
+        assert_allclose(relabelled.gamma, result.gamma, atol=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(FAMILIES),
+           rule=st.sampled_from(["iid_pm1", "iid_uniform", "node_distance"]),
+           n=st.integers(10, 40), seed=st.integers(0, 10**6))
+    def test_noise_free_recovery_for_every_rule(self, name, rule, n, seed):
+        covariates = CovariateRule(kind=rule, p=2)
+        spec = GenSpec(n=n, family=name, gamma_star=(0.5, -0.5)[:covariates.n_covariates],
+                       covariates=covariates, noise_free=True, seed=seed)
+        truth = generate_with_truth(spec)
+        result = fit(truth.data, name, TIGHT)
+        assert np.abs(result.beta - truth.beta_star).max() <= 1e-6
+        assert np.abs(result.gamma - truth.gamma_star).max() <= 1e-6
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(FAMILIES), n=st.integers(6, 30), seed=st.integers(0, 10**6),
+           with_pair_column=st.booleans())
+    def test_node_level_covariate_is_singular_design(self, name, n, seed, with_pair_column):
+        # z_ij = x_i + x_j lies in the span of the degree effects
+        data, _, _ = build_instance(name, n, 1, seed=seed)
+        x = np.random.default_rng(seed).normal(size=n)
+        rows, cols = pair_indices(n)
+        columns = [x[rows] + x[cols]] + ([data.covariates[:, 0]] if with_pair_column else [])
+        with pytest.raises(SingularDesignError):
+            fit(NetworkData(data.adjacency, np.column_stack(columns)), name)
 
 
 class TestCurvaturePass:
-    """fit evaluates the curvature once per outer iterate and reuses the
+    """fit evaluates the curvature once per iterate and reuses the
     converged pass for every inference field."""
 
     @pytest.mark.parametrize("name", FAMILIES)
