@@ -16,15 +16,12 @@ from .errors import (
 )
 from .families import EdgeFamily, LogisticFamily, PoissonFamily, ProbitFamily, get_family
 from .network import (
-    BalanceCheck,
     NetworkData,
     check_diagonally_balanced,
     covariate_magnitude,
-    diagonal_inverse_approx,
     pair_count,
     pair_indices,
     pair_offset,
-    random_balanced_matrix,
 )
 from .estimation import (
     FitResult,
@@ -62,7 +59,6 @@ from .dataio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceCheck",
     "CovariateRule",
     "DataError",
     "DegenerateDegreeError",
@@ -87,7 +83,6 @@ __all__ = [
     "degree_jacobian",
     "degree_residuals",
     "derive_pair_covariates",
-    "diagonal_inverse_approx",
     "fit",
     "generate",
     "generate_with_truth",
@@ -98,7 +93,6 @@ __all__ = [
     "pair_offset",
     "parse_study_config",
     "profile_jacobian",
-    "random_balanced_matrix",
     "read_edges",
     "read_node_attrs",
     "read_pair_covariates",

@@ -13,9 +13,9 @@ import sys
 
 from . import dataio
 from .errors import DataError, NonConvergenceError, SingularDesignError
-from .estimation import SolverConfig, fit
+from .estimation import fit
 from .network import NetworkData
-from .simulation import CovariateRule, GenSpec, generate_with_truth, run_mc_study
+from .simulation import generate_with_truth, run_mc_study
 
 
 class _UsageError(Exception):
@@ -44,23 +44,10 @@ def _build_parser():
         choices=list(dataio.TRANSFORMS),
         help="how to turn node attributes into pair covariates",
     )
-    fit_p.add_argument("--tol-f", type=float, default=SolverConfig.tol_f)
-    fit_p.add_argument("--tol-q", type=float, default=SolverConfig.tol_q)
-    fit_p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,
+    fit_p.add_argument("--tol-f", type=float)
+    fit_p.add_argument("--tol-q", type=float)
+    fit_p.add_argument("--max-outer", type=int,
                        help="cap on the iterates of the joint Newton iteration")
-    fit_p.add_argument(
-        "--max-inner-beta",
-        type=int,
-        default=SolverConfig.max_inner_beta,
-        help="ignored: it caps only solve_degree_params, not fit; accepted so "
-        "existing scripts run",
-    )
-    fit_p.add_argument(
-        "--damping",
-        type=float,
-        default=SolverConfig.damping,
-        help="deprecated and ignored; accepted so existing scripts run",
-    )
     fit_p.add_argument("--no-bias-correct", action="store_true")
     fit_p.add_argument("--out", metavar="PATH")
     fit_p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -70,21 +57,16 @@ def _build_parser():
     sim_p.add_argument("--n", required=True, type=int)
     sim_p.add_argument("--gamma-star", required=True, help="comma-separated coefficients")
     sim_p.add_argument("--beta-star", help="comma-separated degree parameters (default: drawn)")
-    sim_p.add_argument("--beta-range", type=float, default=1.0)
-    sim_p.add_argument(
-        "--covariate-rule",
-        default="iid_pm1",
-        choices=["iid_pm1", "iid_uniform", "node_distance"],
-    )
-    sim_p.add_argument("--covariate-p", type=int, default=None)
-    sim_p.add_argument("--covariate-low", type=float, default=0.0)
-    sim_p.add_argument("--covariate-high", type=float, default=1.0)
-    sim_p.add_argument("--covariate-dim", type=int, default=2)
-    sim_p.add_argument("--dependence", default="independent",
-                       choices=["independent", "equicorrelated_probit"])
-    sim_p.add_argument("--rho", type=float, default=0.0)
+    sim_p.add_argument("--beta-range", type=float)
+    sim_p.add_argument("--covariate-rule", choices=["iid_pm1", "iid_uniform", "node_distance"])
+    sim_p.add_argument("--covariate-p", type=int)
+    sim_p.add_argument("--covariate-low", type=float)
+    sim_p.add_argument("--covariate-high", type=float)
+    sim_p.add_argument("--covariate-dim", type=int)
+    sim_p.add_argument("--dependence", choices=["independent", "equicorrelated_probit"])
+    sim_p.add_argument("--rho", type=float)
     sim_p.add_argument("--noise-free", action="store_true")
-    sim_p.add_argument("--seed", type=int, default=0)
+    sim_p.add_argument("--seed", type=int)
     sim_p.add_argument(
         "--out",
         required=True,
@@ -135,14 +117,7 @@ def _run_fit(args):
         n = attrs.shape[0]
     adjacency = dataio.read_edges(args.edges, n)
     data = NetworkData(adjacency, covariates)
-    config = SolverConfig(
-        tol_f=args.tol_f,
-        tol_q=args.tol_q,
-        max_outer=args.max_outer,
-        max_inner_beta=args.max_inner_beta,
-        damping=args.damping,
-    )
-    result = fit(data, args.family, config)
+    result = fit(data, args.family, dataio.solver_config(vars(args)))
     bias_correct = not args.no_bias_correct
     if args.format == "json":
         if args.out:
@@ -158,26 +133,8 @@ def _run_fit(args):
 def _run_simulate(args):
     gamma_star = _parse_floats(args.gamma_star, "--gamma-star")
     beta_star = _parse_floats(args.beta_star, "--beta-star") if args.beta_star else None
-    rule = CovariateRule(
-        kind=args.covariate_rule,
-        p=len(gamma_star) if args.covariate_p is None else args.covariate_p,
-        low=args.covariate_low,
-        high=args.covariate_high,
-        dim=args.covariate_dim,
-    )
-    spec = GenSpec(
-        n=args.n,
-        family=args.family,
-        gamma_star=gamma_star,
-        beta_star=beta_star,
-        beta_range=args.beta_range,
-        covariates=rule,
-        dependence=args.dependence,
-        rho=args.rho,
-        noise_free=args.noise_free,
-        seed=args.seed,
-    )
-    synth = generate_with_truth(spec)
+    settings = vars(args) | {"gamma_star": gamma_star, "beta_star": beta_star}
+    synth = generate_with_truth(dataio.gen_spec(settings))
     dataio.write_edges(f"{args.out}_edges.csv", synth.data)
     dataio.write_pair_covariates(f"{args.out}_covariates.csv", synth.data)
     return 0

@@ -9,6 +9,7 @@ exactly once, so they also fix the node count.  Floats are written with
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -315,11 +316,25 @@ def report_csv_rows(report):
     return rows
 
 
+def _bool(text):
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _list_of(kind):
+    return lambda text: [kind(v.strip()) for v in text.split(",") if v.strip()]
+
+
+# each study-config key and the parser of its value
 _STUDY_KEYS = {
     "family": str,
-    "n_grid": "int_list",
+    "n_grid": _list_of(int),
     "replicates": int,
-    "gamma_star": "float_list",
+    "gamma_star": _list_of(float),
     "beta_range": float,
     "covariate_rule": str,
     "covariate_p": int,
@@ -328,41 +343,50 @@ _STUDY_KEYS = {
     "covariate_dim": int,
     "dependence": str,
     "rho": float,
-    "noise_free": "bool",
+    "noise_free": _bool,
     "seed": int,
     "tol_f": float,
     "tol_q": float,
     "max_outer": int,
-    "max_inner_beta": int,
-    "damping": float,  # deprecated: validated, then ignored by the solver
 }
 
 _REQUIRED_STUDY_KEYS = ("family", "n_grid", "replicates", "gamma_star")
 
+# settings named like the simulate flags, and the CovariateRule fields they set
+_RULE_SETTINGS = {
+    "covariate_rule": "kind",
+    "covariate_p": "p",
+    "covariate_low": "low",
+    "covariate_high": "high",
+    "covariate_dim": "dim",
+}
 
-def _parse_config_value(key, raw, path, line):
-    kind = _STUDY_KEYS[key]
-    try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind == "int_list":
-            return [int(v.strip()) for v in raw.split(",") if v.strip()]
-        if kind == "float_list":
-            return [float(v.strip()) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise DataError(f"{path} line {line}: cannot parse {key} = {raw!r}") from exc
-    raise DataError(f"unhandled config key kind for {key}")
+
+def _given(settings, cls, names=None):
+    """Keyword arguments for ``cls`` from the settings present and not None.
+
+    ``names`` maps each setting to its field; by default settings are named
+    like the fields of ``cls``.
+    """
+    names = names or {f.name: f.name for f in fields(cls)}
+    return {field: settings[key] for key, field in names.items() if settings.get(key) is not None}
+
+
+def solver_config(settings):
+    """The ``SolverConfig`` of a mapping of settings such as ``tol_f``;
+    absent settings take the dataclass defaults."""
+    return SolverConfig(**_given(settings, SolverConfig))
+
+
+def gen_spec(settings):
+    """The ``GenSpec`` of a mapping of settings named like the study-config
+    keys (``n``, ``family``, ``gamma_star``, ``covariate_rule``, ...).
+
+    Absent settings take the dataclass defaults, except that ``covariate_p``
+    defaults to the length of ``gamma_star``.
+    """
+    rule = {"p": len(settings["gamma_star"]), **_given(settings, CovariateRule, _RULE_SETTINGS)}
+    return GenSpec(**_given(settings, GenSpec), covariates=CovariateRule(**rule))
 
 
 def parse_study_config(path, seed_override=None):
@@ -390,39 +414,15 @@ def parse_study_config(path, seed_override=None):
             raise DataError(f"{path} line {line_no}: unknown config key {key!r}")
         if key in values:
             raise DataError(f"{path} line {line_no}: duplicate key {key!r}")
-        values[key] = _parse_config_value(key, raw, path, line_no)
+        try:
+            values[key] = _STUDY_KEYS[key](raw)
+        except ValueError as exc:
+            raise DataError(f"{path} line {line_no}: cannot parse {key} = {raw!r}") from exc
 
     missing = [key for key in _REQUIRED_STUDY_KEYS if key not in values]
     if missing:
         raise DataError(f"{path}: missing required config keys: {', '.join(missing)}")
 
-    rule = CovariateRule(
-        kind=values.get("covariate_rule", "iid_pm1"),
-        p=values.get("covariate_p", len(values["gamma_star"])),
-        low=values.get("covariate_low", 0.0),
-        high=values.get("covariate_high", 1.0),
-        dim=values.get("covariate_dim", 2),
-    )
-    seed = values.get("seed", 0) if seed_override is None else seed_override
-    specs = [
-        GenSpec(
-            n=n,
-            family=values["family"],
-            gamma_star=tuple(values["gamma_star"]),
-            beta_range=values.get("beta_range", 1.0),
-            covariates=rule,
-            dependence=values.get("dependence", "independent"),
-            rho=values.get("rho", 0.0),
-            noise_free=values.get("noise_free", False),
-            seed=seed + k,
-        )
-        for k, n in enumerate(values["n_grid"])
-    ]
-    config = SolverConfig(
-        tol_f=values.get("tol_f", SolverConfig.tol_f),
-        tol_q=values.get("tol_q", SolverConfig.tol_q),
-        max_outer=values.get("max_outer", SolverConfig.max_outer),
-        max_inner_beta=values.get("max_inner_beta", SolverConfig.max_inner_beta),
-        damping=values.get("damping", SolverConfig.damping),
-    )
-    return specs, values["replicates"], config
+    seed = values.get("seed", GenSpec.seed) if seed_override is None else seed_override
+    specs = [gen_spec({**values, "n": n, "seed": seed + k}) for k, n in enumerate(values["n_grid"])]
+    return specs, values["replicates"], solver_config(values)

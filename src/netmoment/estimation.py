@@ -26,28 +26,22 @@ from .network import check_diagonally_balanced, covariate_magnitude  # noqa: F40
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps for the Newton solver.
+    """Tolerances and the iteration cap for the Newton solver.
 
     ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate
-    residuals.  ``max_outer`` caps the iterates of ``fit``, and
-    ``max_inner_beta`` only those of ``solve_degree_params``.  ``damping``
-    is deprecated and ignored, but still accepted and validated, so existing
-    configurations keep working.
+    residuals; ``max_outer`` caps the iterates of ``fit`` and of
+    ``solve_degree_params``.
     """
 
     tol_f: float = 1e-8
     tol_q: float = 1e-8
     max_outer: int = 200
-    max_inner_beta: int = 500
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.tol_f <= 0 or self.tol_q <= 0:
             raise DataError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner_beta < 1:
-            raise DataError("iteration caps must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise DataError("damping must lie in (0, 1]")
+        if self.max_outer < 1:
+            raise DataError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -305,7 +299,7 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
 
     Takes the Newton steps of ``fit`` with the coefficients held fixed, so
     each step solves the dense degree Jacobian against the degree residuals
-    F.  ``config.max_inner_beta`` caps the iterates.
+    F.  ``config.max_outer`` caps the iterates.
 
     Returns (beta, iterations, residual_norm) with the residual in the
     infinity norm at or below ``config.tol_f``; ``iterations`` counts the
@@ -322,11 +316,11 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     beta = np.array(beta_init, dtype=float)
     offset = data.covariates @ np.asarray(gamma, dtype=float)
     system = _MomentSystem(data, family, data.covariates[:, :0], offset)
-    state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_inner_beta)
+    state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_outer)
     if state.f_norm > config.tol_f:
         raise NonConvergenceError(
             f"degree solver did not reach tol_f={config.tol_f} within "
-            f"{config.max_inner_beta} iterations (last residual {state.f_norm:.3e})",
+            f"{config.max_outer} iterations (last residual {state.f_norm:.3e})",
             residual=state.f_norm,
         )
     return state.beta, iterations, state.f_norm
@@ -335,10 +329,10 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
 def profile_jacobian(data, family, beta, gamma):
     """Derivative of the profiled covariate residuals in the coefficients.
 
-    Assembled from the analytic blocks of the joint system; the inner solve
-    against the degree Jacobian uses a dense factorization, not the diagonal
-    approximation, because this matrix feeds bias correction and standard
-    errors.
+    The Schur complement H = dQ/dgamma - dF/dgamma^T V^{-1} dF/dgamma of the
+    joint system's analytic blocks, with V^{-1} dF/dgamma from a dense
+    factorization of the degree Jacobian V.  ``fit`` steps the coefficients
+    with H and uses it at the root for bias correction and standard errors.
     """
     family = get_family(family)
     pi = _pair_index(data, beta, gamma)
@@ -438,8 +432,10 @@ def fit(data, family, config=None, init=None):
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and
     ``NonConvergenceError`` when ``config.max_outer`` iterates do not reach
-    the tolerances or a step diverges or stalls.  Both of the latter carry
-    the trace of the iterates so far.
+    the tolerances, a step diverges or stalls, or some pair's mean slope is
+    exactly zero at the converged iterate (saturated means meet the
+    tolerances with no finite root).  Both of the latter carry the trace of
+    the iterates so far.
     """
     family = get_family(family)
     config = config or SolverConfig()
@@ -464,7 +460,17 @@ def fit(data, family, config=None, init=None):
                 f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
                 residual=state.merit,
             )
-        curv = _curvature(data, data.covariates, state.pi, family.mean_slope(state.pi))
+        slope = family.mean_slope(state.pi)
+        if not slope.min() > 0.0:
+            # saturated pairs make F and Q vanish in floats away from any root
+            zero = np.count_nonzero(slope <= 0.0)
+            raise NonConvergenceError(
+                f"joint solver saturated: the mean slopes of {zero} pairs underflowed "
+                "to zero, so the moment equations have no finite root "
+                f"(last residual {state.merit:.3e})",
+                residual=state.merit,
+            )
+        curv = _curvature(data, data.covariates, state.pi, slope)
         _assert_profile_invertible(curv.h, curv.scale)
         bias = _homophily_bias(data, family, curv.pi, curv.slope)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)

@@ -157,29 +157,3 @@ def check_diagonally_balanced(v, rel_tol=1e-10):
     tol = n * M_n * rel_tol
     balanced = bool(np.all(np.abs(np.diag(v) - row_off_sums) <= tol))
     return BalanceCheck(balanced, m_n, M_n)
-
-
-def diagonal_inverse_approx(v):
-    """Diagonal approximation to the inverse of a balanced matrix.
-
-    Returns diag(1/v_11, ..., 1/v_nn).  For members of the balanced class
-    the max-norm error against the true inverse shrinks as n grows.
-    """
-    v = np.asarray(v, dtype=float)
-    d = np.diag(v)
-    if np.any(d <= 0.0):
-        raise DataError("diagonal entries must be strictly positive")
-    return np.diag(1.0 / d)
-
-
-def random_balanced_matrix(n, low, high, rng):
-    """Random member of the balanced class with off-diagonals in [low, high]."""
-    if not 0 < low <= high:
-        raise DataError("need 0 < low <= high")
-    v = np.zeros((n, n))
-    rows, cols = pair_indices(n)
-    off = rng.uniform(low, high, size=rows.size)
-    v[rows, cols] = off
-    v[cols, rows] = off
-    v[np.diag_indices(n)] = v.sum(axis=1)
-    return v

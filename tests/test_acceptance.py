@@ -21,27 +21,22 @@ from netmoment.estimation import (
     solve_degree_params,
 )
 from netmoment.families import get_family
-from netmoment.network import (
-    NetworkData,
-    check_diagonally_balanced,
-    diagonal_inverse_approx,
-    pair_count,
-    pair_indices,
-    random_balanced_matrix,
-)
+from netmoment.network import NetworkData, check_diagonally_balanced, pair_count, pair_indices
 from netmoment.simulation import CovariateRule, GenSpec, _rng_for, generate, run_mc_study
 
 from conftest import build_fittable_instance, build_noise_free, degree_init_ref
 from oracles import (
+    diagonal_inverse_approx,
     fd_jacobian,
     joint_solve_ref,
     logistic_loglik_grad_ref,
     orthant_cov_quadrature,
     profile_jacobian_fd,
+    random_balanced_matrix,
 )
 
 FAMILIES = ("logistic", "poisson", "probit")
-TIGHT = SolverConfig(tol_f=1e-10, tol_q=1e-10, max_outer=400, max_inner_beta=20000)
+TIGHT = SolverConfig(tol_f=1e-10, tol_q=1e-10, max_outer=400)
 
 
 def _report(num, ok, detail):
@@ -128,12 +123,7 @@ def test_criterion_3_small_instance_corpus():
     matches a dense joint root to 1e-6, and the logistic fits zero the
     likelihood gradient to 1e-6."""
     start = time.perf_counter()
-    # the profiled covariate residual inherits noise of the order of the
-    # degree tolerance from the inner solve, so its own tolerance sits one
-    # order above; the 1e-6 comparison below has orders of headroom either way
-    corpus_config = SolverConfig(
-        tol_f=1e-10, tol_q=1e-9, max_outer=400, max_inner_beta=20000
-    )
+    corpus_config = SolverConfig(tol_f=1e-10, tol_q=1e-9, max_outer=400)
     worst_diff = 0.0
     worst_grad = 0.0
     count = 0

@@ -283,6 +283,21 @@ class TestFit:
         assert entry["outer"] == 1
         assert entry["halvings"] == 0
 
+    def test_saturated_fit_exits_two(self, tmp_path):
+        # the probit means of this network saturate before the moment
+        # equations reach a root, which has no finite location
+        data, _, _ = build_instance("probit", 8, 2, seed=180)
+        edges, covariates = tmp_path / "edges.csv", tmp_path / "z.csv"
+        write_edges(edges, data)
+        write_pair_covariates(covariates, data)
+        out = tmp_path / "fail.json"
+        code = main(["fit", "--family", "probit", "--edges", str(edges),
+                     "--pair-covariates", str(covariates), "--out", str(out)])
+        assert code == 2
+        payload = json.loads(out.read_text())
+        assert "saturated" in payload["error"]
+        assert payload["trace"]
+
     def test_constant_covariate_exits_one(self, noisy_files, tmp_path, capsys):
         edges, _ = noisy_files
         from netmoment.network import pair_indices
@@ -420,6 +435,14 @@ class TestUsageErrors:
     def test_bad_choice(self, capsys):
         assert main(["fit", "--family", "gaussian", "--edges", "e.csv",
                      "--pair-covariates", "z.csv"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--damping", "0.5"], ["--max-inner-beta", "5"]])
+    def test_removed_solver_flags(self, capsys, flag):
+        assert main(["fit", "--family", "logistic", "--edges", "e.csv",
+                     "--pair-covariates", "z.csv", *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and flag[0] in err
 
 
 class TestEntryPoints:

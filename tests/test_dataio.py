@@ -14,22 +14,24 @@ from netmoment.dataio import (
     derive_pair_covariates,
     fit_result_csv_rows,
     fit_result_to_dict,
+    gen_spec,
     parse_study_config,
     read_edges,
     read_node_attrs,
     read_pair_covariates,
     report_csv_rows,
     report_to_dict,
+    solver_config,
     write_edges,
     write_fit_result_json,
     write_pair_covariates,
     write_report_json,
 )
 from netmoment.errors import DataError
-from netmoment.estimation import fit
+from netmoment.estimation import SolverConfig, fit
 from netmoment.families import get_family
 from netmoment.network import NetworkData, pair_count, pair_indices
-from netmoment.simulation import GenSpec, generate, run_mc_study
+from netmoment.simulation import CovariateRule, GenSpec, generate, run_mc_study
 
 from conftest import build_noise_free
 from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref
@@ -512,7 +514,6 @@ covariate_p = 2   # two sign covariates
 seed = 7
 tol_f = 1e-9
 max_outer = 150
-damping = 0.4
 """
 
     def test_parses_full_config(self, tmp_path):
@@ -526,7 +527,6 @@ damping = 0.4
         assert all(s.covariates.p == 2 for s in specs)
         assert config.tol_f == 1e-9
         assert config.max_outer == 150
-        assert config.damping == 0.4
         assert config.tol_q == 1e-8  # untouched default
 
     def test_seed_override(self, tmp_path):
@@ -559,6 +559,34 @@ damping = 0.4
         path = _write(tmp_path / "study.cfg", self.GOOD + "solver = fast\n")
         with pytest.raises(DataError, match="unknown config key 'solver'"):
             parse_study_config(path)
+
+    @pytest.mark.parametrize("line", ["damping = 0.5", "max_inner_beta = 5"])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, line):
+        path = _write(tmp_path / "study.cfg", self.GOOD + line + "\n")
+        key = line.split()[0]
+        with pytest.raises(DataError, match=f"unknown config key '{key}'"):
+            parse_study_config(path)
+
+    def test_absent_settings_take_dataclass_defaults(self, tmp_path):
+        path = _write(tmp_path / "study.cfg",
+                      "family = probit\nn_grid = 10, 12\nreplicates = 2\n"
+                      "gamma_star = 0.1, 0.2\n")
+        specs, _, config = parse_study_config(path)
+        rule = CovariateRule(p=2)
+        assert specs == [GenSpec(n=10, family="probit", gamma_star=(0.1, 0.2), covariates=rule),
+                         GenSpec(n=12, family="probit", gamma_star=(0.1, 0.2), covariates=rule,
+                                 seed=1)]
+        assert config == SolverConfig()
+
+    def test_settings_helpers_skip_none(self):
+        flat = {"n": 9, "family": "poisson", "gamma_star": [0.3], "rho": None,
+                "covariate_rule": "iid_uniform", "covariate_low": None,
+                "covariate_high": 4.0, "tol_f": None, "max_outer": 7}
+        assert gen_spec(flat) == GenSpec(
+            n=9, family="poisson", gamma_star=(0.3,),
+            covariates=CovariateRule(kind="iid_uniform", p=1, high=4.0),
+        )
+        assert solver_config(flat) == SolverConfig(max_outer=7)
 
     def test_duplicate_key(self, tmp_path):
         path = _write(tmp_path / "study.cfg", self.GOOD + "seed = 9\n")

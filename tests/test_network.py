@@ -9,12 +9,11 @@ from netmoment.network import (
     NetworkData,
     check_diagonally_balanced,
     covariate_magnitude,
-    diagonal_inverse_approx,
     pair_count,
     pair_indices,
     pair_offset,
-    random_balanced_matrix,
 )
+from oracles import diagonal_inverse_approx, random_balanced_matrix
 
 
 class TestPairIndexing:
