@@ -22,7 +22,7 @@ Run it from the repository root:
 
 import numpy as np
 
-from netmoment import GenSpec, generate
+from netmoment import GenSpec, generate_with_truth
 
 N = 12
 NETWORKS = 3000
@@ -44,7 +44,7 @@ def simulate(dependence, rho):
             rho=rho,
             seed=2026 + r,
         )
-        w = generate(spec).pair_weights
+        w = generate_with_truth(spec).data.pair_weights
         pairs = w.size
         s = w.sum()
         means[r] = s / pairs

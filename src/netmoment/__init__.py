@@ -25,7 +25,6 @@ from .network import (
 )
 from .estimation import (
     FitResult,
-    Params,
     SolverConfig,
     bias_correct,
     covariate_residuals,
@@ -42,7 +41,6 @@ from .simulation import (
     GenSpec,
     McStudyReport,
     SyntheticNetwork,
-    generate,
     generate_with_truth,
     run_mc_study,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "NetmomentError",
     "NetworkData",
     "NonConvergenceError",
-    "Params",
     "PoissonFamily",
     "ProbitFamily",
     "SingularDesignError",
@@ -84,7 +81,6 @@ __all__ = [
     "degree_residuals",
     "derive_pair_covariates",
     "fit",
-    "generate",
     "generate_with_truth",
     "get_family",
     "homophily_bias",

@@ -10,6 +10,7 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from . import dataio
 from .errors import DataError, NonConvergenceError, SingularDesignError
@@ -147,7 +148,7 @@ def _run_mc_study(args):
         if args.out:
             dataio.write_report_json(args.out, report)
         else:
-            json.dump(dataio.report_to_dict(report), sys.stdout, indent=2)
+            json.dump(asdict(report), sys.stdout, indent=2)
             sys.stdout.write("\n")
     else:
         _write_csv(args.out, dataio.report_csv_rows(report))

@@ -9,14 +9,14 @@ exactly once, so they also fix the node count.  Floats are written with
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .errors import DataError
-from .estimation import FitResult, SolverConfig
+from .estimation import SolverConfig
 from .network import pair_count, pair_indices, pair_offset
-from .simulation import CovariateRule, GenSpec, McStudyReport
+from .simulation import CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
 
@@ -256,23 +256,9 @@ def fit_result_csv_rows(result, bias_correct=True):
     return rows
 
 
-def report_to_dict(report):
-    """JSON-ready dict of a Monte Carlo study report."""
-    return {
-        "family": report.family,
-        "n_grid": list(report.n_grid),
-        "replicates": report.replicates,
-        "records": list(report.records),
-        "summaries": list(report.summaries),
-        "slope_beta": report.slope_beta,
-        "slope_gamma_bc": report.slope_gamma_bc,
-        "errors": list(report.errors),
-    }
-
-
 def write_report_json(path, report):
     with open(path, "w") as handle:
-        json.dump(report_to_dict(report), handle, indent=2)
+        json.dump(asdict(report), handle, indent=2)
         handle.write("\n")
 
 

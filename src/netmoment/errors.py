@@ -35,11 +35,12 @@ class SingularDesignError(NetmomentError, ValueError):
 class NonConvergenceError(NetmomentError, RuntimeError):
     """Iteration cap reached before tolerances were met.
 
-    ``residual`` holds the last residual norm; ``trace`` (when present)
-    holds the per-iteration history for post-mortem inspection.
+    ``residual`` holds the last residual norm; ``trace`` holds the
+    per-iteration history of ``fit`` up to the failure; it is empty when
+    the error comes from elsewhere.
     """
 
-    def __init__(self, message, residual=None, trace=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace if trace is not None else []
+        self.trace = []

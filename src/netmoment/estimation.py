@@ -29,8 +29,8 @@ class SolverConfig:
     """Tolerances and the iteration cap for the Newton solver.
 
     ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate
-    residuals; ``max_outer`` caps the iterates of ``fit`` and of
-    ``solve_degree_params``.
+    residuals and must be finite and positive; ``max_outer`` caps the
+    iterates of ``fit`` and of ``solve_degree_params``.
     """
 
     tol_f: float = 1e-8
@@ -38,18 +38,10 @@ class SolverConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if self.tol_f <= 0 or self.tol_q <= 0:
-            raise DataError("tolerances must be positive")
+        if not (0 < self.tol_f < np.inf and 0 < self.tol_q < np.inf):
+            raise DataError("tolerances must be finite and positive")
         if self.max_outer < 1:
             raise DataError("max_outer must be at least 1")
-
-
-@dataclass(frozen=True)
-class Params:
-    """Degree parameters (one per node) and homophily coefficients."""
-
-    beta: np.ndarray
-    gamma: np.ndarray
 
 
 @dataclass
@@ -70,10 +62,6 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
-    @property
-    def params(self):
-        return Params(self.beta, self.gamma)
-
 
 # Halvings of a rejected Newton step before the iteration counts as stalled.
 _MAX_HALVINGS = 40
@@ -86,20 +74,6 @@ _MAX_STEP = 1e6
 def _pair_index(data, beta, gamma):
     """Index value beta_i + beta_j + z_ij . gamma for every pair."""
     return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
-
-
-def degree_residuals(data, family, beta, gamma):
-    """Observed minus expected degrees, one entry per node."""
-    family = get_family(family)
-    mu = family.mean(_pair_index(data, beta, gamma))
-    return data.degrees - data.node_pair_sums(mu)
-
-
-def covariate_residuals(data, family, beta, gamma):
-    """Covariate-weighted sum of edge residuals over unordered pairs."""
-    family = get_family(family)
-    mu = family.mean(_pair_index(data, beta, gamma))
-    return data.covariates.T @ (data.pair_weights - mu)
 
 
 def _jacobian_from_slopes(data, slope):
@@ -294,6 +268,16 @@ class _MomentSystem:
         )
 
 
+def degree_residuals(data, family, beta, gamma):
+    """Observed minus expected degrees, one entry per node."""
+    return _MomentSystem(data, get_family(family), data.covariates, 0.0).evaluate(beta, gamma).f
+
+
+def covariate_residuals(data, family, beta, gamma):
+    """Covariate-weighted sum of edge residuals over unordered pairs."""
+    return _MomentSystem(data, get_family(family), data.covariates, 0.0).evaluate(beta, gamma).q
+
+
 def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     """Solve the degree equations at fixed homophily coefficients.
 
@@ -418,7 +402,7 @@ def _diagnostics(data, curv):
     }
 
 
-def fit(data, family, config=None, init=None):
+def fit(data, family, config=None):
     """Fit degree and homophily parameters by joint moment matching.
 
     Takes safeguarded Newton steps on the degree and covariate residuals in
@@ -441,13 +425,8 @@ def fit(data, family, config=None, init=None):
     config = config or SolverConfig()
     check_interior_degrees(data, family)
 
-    if init is not None:
-        beta = np.array(init.beta, dtype=float)
-        gamma = np.array(init.gamma, dtype=float)
-    else:
-        beta = initial_degree_params(family, data.degrees, data.n)
-        gamma = np.zeros(data.n_covariates)
-
+    beta = initial_degree_params(family, data.degrees, data.n)
+    gamma = np.zeros(data.n_covariates)
     system = _MomentSystem(data, family, data.covariates, 0.0)
     trace = []
     try:

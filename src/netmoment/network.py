@@ -17,7 +17,7 @@ def pair_count(n):
     return n * (n - 1) // 2
 
 
-def pair_offset(i, j, n=None):
+def pair_offset(i, j):
     """Flat offset of unordered pair {i, j} in lower-triangle row-major order."""
     i = np.asarray(i)
     j = np.asarray(j)
@@ -119,10 +119,7 @@ class NetworkData:
 
 def covariate_magnitude(data):
     """Largest absolute covariate entry over all pairs (design magnitude)."""
-    z = data.covariates
-    if z.size == 0:
-        raise DataError("network has no covariates")
-    return float(np.abs(z).max())
+    return float(np.abs(data.covariates).max())
 
 
 @dataclass(frozen=True)

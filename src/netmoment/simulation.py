@@ -171,11 +171,6 @@ def generate_with_truth(spec, rng=None):
     return SyntheticNetwork(NetworkData(adjacency, z), beta, gamma)
 
 
-def generate(spec, rng=None):
-    """Draw one synthetic network; deterministic given the spec's seed."""
-    return generate_with_truth(spec, rng).data
-
-
 def _run_replicate(spec, replicate, config, spec_index=0):
     """Generate (with regeneration on degenerate degrees) and fit once."""
     family = get_family(spec.family)
@@ -250,8 +245,8 @@ class McStudyReport:
     empirical coverage, and failure counts.  Rate slopes regress the log
     median degree-parameter error on log sqrt(log n / n) and the log median
     corrected-coefficient error on log (1 / n); both are None when fewer
-    than two n values have usable medians.  ``errors`` lists grid points
-    where every replicate failed.
+    than two distinct n values have usable medians.  ``errors`` lists grid
+    points where every replicate failed.
     """
 
     family: str
@@ -264,10 +259,10 @@ class McStudyReport:
     errors: list = field(default_factory=list)
 
 
-def _summarize(n, spec, records):
+def _summarize(spec, records):
     ok = [r for r in records if not r["failed"]]
     summary = {
-        "n": n,
+        "n": spec.n,
         "replicates": len(records),
         "failures": len(records) - len(ok),
         "median_err_beta": None,
@@ -291,14 +286,14 @@ def _summarize(n, spec, records):
 
 def _rate_slope(n_values, medians, predictor):
     pts = [
-        (predictor(n), m)
+        (n, m)
         for n, m in zip(n_values, medians)
         if m is not None and m > 0.0
     ]
-    if len(pts) < 2:
+    if len({n for n, _ in pts}) < 2:
         return None
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
+    x = np.log([predictor(n) for n, _ in pts])
+    y = np.log([m for _, m in pts])
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -345,7 +340,7 @@ def run_mc_study(specs, replicates, config=None):
     report.records = records
     for k, spec in enumerate(specs):
         chunk = [r for r in records if r["spec_index"] == k]
-        summary = _summarize(spec.n, spec, chunk)
+        summary = _summarize(spec, chunk)
         report.summaries.append(summary)
         if summary["failures"] == summary["replicates"]:
             report.errors.append(f"all replicates failed at n={spec.n}")

@@ -22,7 +22,7 @@ from netmoment.estimation import (
 )
 from netmoment.families import get_family
 from netmoment.network import NetworkData, check_diagonally_balanced, pair_count, pair_indices
-from netmoment.simulation import CovariateRule, GenSpec, _rng_for, generate, run_mc_study
+from netmoment.simulation import CovariateRule, GenSpec, _rng_for, generate_with_truth, run_mc_study
 
 from conftest import build_fittable_instance, build_noise_free, degree_init_ref
 from oracles import (
@@ -285,7 +285,7 @@ def test_criterion_8_dependent_edges():
     means = np.empty(networks)
     cross = np.empty(networks)
     for r in range(networks):
-        x = generate(spec, _rng_for(spec, r)).pair_weights
+        x = generate_with_truth(spec, _rng_for(spec, r)).data.pair_weights
         s = x.sum()
         means[r] = s / pairs
         # indicators are 0/1, so the sum of squares equals the sum

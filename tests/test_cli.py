@@ -153,6 +153,27 @@ class TestFit:
         assert lines[0] == "parameter,index,estimate,std_error"
         assert len(lines) == 1 + N_NODES + 1 + 1
 
+    def test_json_stdout_equals_out_file(self, noise_free_files, tmp_path, capsys):
+        edges, covariates = noise_free_files
+        argv = ["fit", "--family", "logistic", "--edges", edges,
+                "--pair-covariates", covariates]
+        out = tmp_path / "fit.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--tol-f", "--tol-q"])
+    def test_infinite_tolerance_exits_one(self, noise_free_files, capsys, flag):
+        edges, covariates = noise_free_files
+        code = main(["fit", "--family", "logistic", "--edges", edges,
+                     "--pair-covariates", covariates, flag, "inf"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "finite and positive" in captured.err
+
     def test_csv_stdout_equals_out_file(self, noise_free_files, tmp_path, capsys):
         edges, covariates = noise_free_files
         argv = ["fit", "--family", "logistic", "--edges", edges,
@@ -336,6 +357,19 @@ class TestFit:
         payload = json.loads(err[err.index("{"):])
         assert payload["trace"]
 
+    def test_non_convergence_payload_on_stderr_equals_out_file(self, noisy_files, tmp_path,
+                                                               capsys):
+        """Without --out the exit-2 payload follows the error line on
+        stderr, byte for byte as --out holds it."""
+        edges, covariates = noisy_files
+        argv = ["fit", "--family", "logistic", "--edges", edges,
+                "--pair-covariates", covariates, "--tol-q", "1e-14", "--max-outer", "1"]
+        out = tmp_path / "fail.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        line = capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err.encode() == line.encode() + out.read_bytes()
+
 
 class TestMcStudy:
     CONFIG = """\
@@ -381,6 +415,15 @@ seed = 5
         rows = list(csv.reader(io.StringIO(printed)))
         assert "," in rows[1][rows[0].index("failure_reason")]
         assert {len(row) for row in rows} == {len(rows[0])}
+
+    def test_json_stdout_equals_out_file(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "report.json"
+        assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["mc-study", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "study.cfg"

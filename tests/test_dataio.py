@@ -3,6 +3,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from netmoment.dataio import (
     read_node_attrs,
     read_pair_covariates,
     report_csv_rows,
-    report_to_dict,
     solver_config,
     write_edges,
     write_fit_result_json,
@@ -31,7 +31,7 @@ from netmoment.errors import DataError
 from netmoment.estimation import SolverConfig, fit
 from netmoment.families import get_family
 from netmoment.network import NetworkData, pair_count, pair_indices
-from netmoment.simulation import CovariateRule, GenSpec, generate, run_mc_study
+from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth, run_mc_study
 
 from conftest import build_noise_free
 from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref
@@ -54,7 +54,7 @@ class TestReadEdges:
 
     def test_zero_weights_are_omitted(self, tmp_path):
         spec = GenSpec(n=12, family="logistic", gamma_star=(0.4,), seed=10)
-        data = generate(spec)
+        data = generate_with_truth(spec).data
         path = tmp_path / "edges.csv"
         write_edges(str(path), data)
         with open(path, newline="") as handle:
@@ -467,7 +467,7 @@ class TestReportSerialization:
         write_report_json(str(path), report)
         with open(path) as handle:
             loaded = json.load(handle)
-        assert loaded == json.loads(json.dumps(report_to_dict(report)))
+        assert loaded == json.loads(json.dumps(asdict(report)))
         assert loaded["n_grid"] == [10, 14]
         assert len(loaded["records"]) == 4
 
@@ -587,6 +587,11 @@ max_outer = 150
             covariates=CovariateRule(kind="iid_uniform", p=1, high=4.0),
         )
         assert solver_config(flat) == SolverConfig(max_outer=7)
+
+    def test_non_finite_tolerance_rejected(self, tmp_path):
+        path = _write(tmp_path / "study.cfg", self.GOOD + "tol_q = nan\n")
+        with pytest.raises(DataError, match="finite and positive"):
+            parse_study_config(path)
 
     def test_duplicate_key(self, tmp_path):
         path = _write(tmp_path / "study.cfg", self.GOOD + "seed = 9\n")

@@ -52,6 +52,14 @@ FAMILIES = ["logistic", "poisson", "probit"]
 TIGHT = SolverConfig(tol_f=1e-10, tol_q=1e-10, max_outer=400)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["tol_f", "tol_q"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1e-8])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(DataError, match="finite and positive"):
+            SolverConfig(**{field: value})
+
+
 class TestResiduals:
     def test_poisson_complete_graph_zero(self):
         n = 3

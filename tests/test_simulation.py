@@ -1,6 +1,7 @@
 """Tests for synthetic network generation and the Monte Carlo harness."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from netmoment.simulation import (
     _rng_for,
     _run_replicate,
     _worker_count,
-    generate,
     generate_with_truth,
     run_mc_study,
 )
@@ -157,7 +157,7 @@ class TestGenerate:
 
     def test_logistic_density_half_at_zero_parameters(self):
         spec = GenSpec(n=60, beta_star=(0.0,) * 60, gamma_star=(0.0,), seed=13)
-        data = generate(spec)
+        data = generate_with_truth(spec).data
         m = data.n_pairs
         sigma = 0.5 / np.sqrt(m)
         assert abs(data.pair_weights.mean() - 0.5) <= 4.0 * sigma
@@ -181,7 +181,7 @@ class TestGenerate:
         spec = GenSpec(n=n, family=name, beta_star=beta, gamma_star=(0.0,), seed=23)
         total = np.zeros(pair_count(n))
         for r in range(reps):
-            total += generate(spec, _rng_for(spec, r)).pair_weights
+            total += generate_with_truth(spec, _rng_for(spec, r)).data.pair_weights
         empirical = total / reps
         family = get_family(name)
         synth = generate_with_truth(spec)
@@ -197,9 +197,9 @@ class TestGenerate:
         dep = GenSpec(dependence="equicorrelated_probit", rho=0.0, **kwargs)
         ind = GenSpec(**kwargs)
         reps = 20
-        p_dep = np.mean([generate(dep, _rng_for(dep, r)).pair_weights.mean()
+        p_dep = np.mean([generate_with_truth(dep, _rng_for(dep, r)).data.pair_weights.mean()
                          for r in range(reps)])
-        p_ind = np.mean([generate(ind, _rng_for(ind, r)).pair_weights.mean()
+        p_ind = np.mean([generate_with_truth(ind, _rng_for(ind, r)).data.pair_weights.mean()
                          for r in range(reps)])
         draws = reps * pair_count(40)
         sigma = np.sqrt(2.0 * 0.25 / draws)
@@ -214,9 +214,9 @@ class TestGenerate:
         dep = GenSpec(dependence="equicorrelated_probit", rho=0.5, **kwargs)
         ind = GenSpec(**kwargs)
         reps = 200
-        dens_dep = np.array([generate(dep, _rng_for(dep, r)).pair_weights.mean()
+        dens_dep = np.array([generate_with_truth(dep, _rng_for(dep, r)).data.pair_weights.mean()
                              for r in range(reps)])
-        dens_ind = np.array([generate(ind, _rng_for(ind, r)).pair_weights.mean()
+        dens_ind = np.array([generate_with_truth(ind, _rng_for(ind, r)).data.pair_weights.mean()
                              for r in range(reps)])
         cluster_sigma = np.sqrt(1.0 / 12.0)
         assert abs(dens_dep.mean() - 0.5) <= 4.0 * cluster_sigma / np.sqrt(reps)
@@ -321,6 +321,10 @@ class TestRateSlope:
         assert _rate_slope([10, 20], [0.5, None], lambda n: 1.0 / n) is None
         assert _rate_slope([10, 20], [0.0, 0.1], lambda n: 1.0 / n) is None
 
+    def test_single_distinct_n_gives_none(self):
+        assert _rate_slope([30, 30], [0.5, 0.4], lambda n: 1.0 / n) is None
+        assert _rate_slope([30, 30, 40], [0.5, 0.4, None], lambda n: 1.0 / n) is None
+
 
 class TestRunMcStudy:
     def test_report_structure_and_slopes(self):
@@ -366,6 +370,18 @@ class TestRunMcStudy:
         assert report.summaries[0]["failures"] == 2
         assert report.summaries[0]["median_err_beta"] is None
         assert report.slope_beta is None
+
+    def test_repeated_n_grid_has_no_slopes(self, monkeypatch):
+        """A grid holding one distinct size has no rate to regress on, so
+        both slopes are None and no poorly conditioned fit warns."""
+        monkeypatch.setenv("NETMOMENT_THREADS", "1")
+        specs = [GenSpec(n=20, family="logistic", gamma_star=(0.5,), seed=s) for s in (1, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_mc_study(specs, replicates=2)
+        assert [s["failures"] for s in report.summaries] == [0, 0]
+        assert report.slope_beta is None
+        assert report.slope_gamma_bc is None
 
     def test_input_validation(self):
         spec = GenSpec(n=10, seed=0)
