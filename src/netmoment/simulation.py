@@ -13,8 +13,10 @@ replicate r, attempt a of a study with base seed s uses the stream
 independently of execution order or worker count.
 """
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,14 @@ from .network import NetworkData, pair_count, pair_indices
 
 _MAX_REGEN_ATTEMPTS = 10
 _CI_LEVEL = 1.96
+# (getter, setter) symbol pairs under which OpenBLAS builds export their
+# thread count: plain, 64-bit-integer, and the two scipy-openblas wheels.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -229,10 +239,59 @@ def _worker_count(n_tasks):
     env = os.environ.get("NETMOMENT_THREADS", "").strip()
     if env:
         try:
-            cap = min(cap, int(env))
-        except ValueError as exc:
-            raise DataError(f"NETMOMENT_THREADS must be an integer: {env!r}") from exc
-    return max(1, min(cap, n_tasks))
+            limit = int(env)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise DataError(f"NETMOMENT_THREADS must be a positive integer: {env!r}")
+        cap = min(cap, limit)
+    return min(cap, n_tasks)
+
+
+def _openblas_thread_controls():
+    """(getter, setter) of the thread count of every loaded OpenBLAS.
+
+    Libraries are found in /proc/self/maps; empty when that file cannot be
+    read or no OpenBLAS is loaded (other BLAS builds are left alone).
+    """
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the body with every loaded OpenBLAS set to one thread.
+
+    The setting is process-wide and is inherited by workers forked inside
+    the body, so they never start BLAS threads that would compete with the
+    other workers' fits.  The caller's counts are restored on exit.
+    """
+    controls = _openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    try:
+        for _, setter in controls:
+            setter(1)
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
 
 
 @dataclass
@@ -306,6 +365,12 @@ def run_mc_study(specs, replicates, config=None):
     errors are recorded as failures as well.  Workers run in parallel when
     more than one CPU is available; the NETMOMENT_THREADS environment
     variable caps their number.
+
+    Every replicate is fitted with one BLAS thread per process, so records
+    depend neither on the worker count nor on the caller's BLAS threads.
+    The setting is process-wide while the call runs: other threads of the
+    caller also get single-threaded OpenBLAS until it returns, when the
+    caller's thread counts are restored.
     """
     if replicates < 1:
         raise DataError("replicates must be at least 1")
@@ -316,20 +381,21 @@ def run_mc_study(specs, replicates, config=None):
 
     tasks = [(spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)]
     workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    _run_replicate,
-                    [t[0] for t in tasks],
-                    [t[1] for t in tasks],
-                    [config] * len(tasks),
-                    [t[2] for t in tasks],
-                    chunksize=max(1, len(tasks) // (4 * workers)),
+    with _single_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(
+                    pool.map(
+                        _run_replicate,
+                        [t[0] for t in tasks],
+                        [t[1] for t in tasks],
+                        [config] * len(tasks),
+                        [t[2] for t in tasks],
+                        chunksize=max(1, len(tasks) // (4 * workers)),
+                    )
                 )
-            )
-    else:
-        records = [_run_replicate(spec, r, config, k) for spec, r, k in tasks]
+        else:
+            records = [_run_replicate(spec, r, config, k) for spec, r, k in tasks]
     records.sort(key=lambda r: (r["n"], r["spec_index"], r["replicate"]))
 
     report = McStudyReport(

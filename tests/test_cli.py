@@ -449,6 +449,17 @@ seed = 5
         assert code == 1
         assert "cannot open" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_thread_cap_exits_one(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("NETMOMENT_THREADS", threads)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG)
+        assert main(["mc-study", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: NETMOMENT_THREADS must be a positive integer")
+
     def test_matches_golden_report(self, tmp_path, monkeypatch):
         """A fresh run of the committed study config reproduces the frozen
         report; records are worker-count invariant, so the thread cap only

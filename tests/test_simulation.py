@@ -1,11 +1,16 @@
 """Tests for synthetic network generation and the Monte Carlo harness."""
 
+import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netmoment import simulation
 from netmoment.errors import DataError, DegenerateDegreeError
 from netmoment.estimation import SolverConfig, check_interior_degrees
 from netmoment.families import get_family
@@ -13,13 +18,17 @@ from netmoment.network import pair_count, pair_offset
 from netmoment.simulation import (
     CovariateRule,
     GenSpec,
+    _openblas_thread_controls,
     _rate_slope,
     _rng_for,
     _run_replicate,
+    _single_blas_thread,
     _worker_count,
     generate_with_truth,
     run_mc_study,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCovariateRule:
@@ -287,7 +296,13 @@ class TestWorkerCount:
 
     def test_invalid_env_raises(self, monkeypatch):
         monkeypatch.setenv("NETMOMENT_THREADS", "many")
-        with pytest.raises(DataError, match="NETMOMENT_THREADS"):
+        with pytest.raises(DataError, match="NETMOMENT_THREADS must be a positive integer"):
+            _worker_count(4)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_env_raises(self, monkeypatch, value):
+        monkeypatch.setenv("NETMOMENT_THREADS", value)
+        with pytest.raises(DataError, match="NETMOMENT_THREADS must be a positive integer"):
             _worker_count(4)
 
     def test_affinity_caps_workers(self, monkeypatch):
@@ -409,3 +424,96 @@ class TestRunMcStudy:
         parallel = run_mc_study(specs, replicates=3)
         assert serial.records == parallel.records
         assert serial.summaries == parallel.summaries
+
+
+def _blas_counts():
+    return [getter() for getter, _ in _openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS set to two threads for the test, so that
+    pinning shows whatever the environment's own setting is; the saved
+    counts are restored afterwards."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(2)
+    try:
+        if _blas_counts() != [2] * len(controls):
+            pytest.skip("OpenBLAS cannot be set to two threads here")
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
+
+
+class TestSingleBlasThread:
+    def test_pins_every_library_and_restores(self, two_blas_threads):
+        with _single_blas_thread():
+            assert set(_blas_counts()) == {1}
+        assert set(_blas_counts()) == {2}
+
+    def test_restores_when_body_raises(self, two_blas_threads):
+        with pytest.raises(RuntimeError, match="body"):
+            with _single_blas_thread():
+                raise RuntimeError("body")
+        assert set(_blas_counts()) == {2}
+
+    def test_no_library_found_does_nothing(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(simulation, "_openblas_thread_controls", lambda: [])
+        with _single_blas_thread():
+            assert set(_blas_counts()) == {2}
+        assert set(_blas_counts()) == {2}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_study_leaves_caller_counts(self, two_blas_threads, monkeypatch, threads):
+        monkeypatch.setenv("NETMOMENT_THREADS", threads)
+        specs = [GenSpec(n=12, family="logistic", gamma_star=(0.4,), seed=91)]
+        run_mc_study(specs, replicates=2)
+        assert set(_blas_counts()) == {2}
+
+    def test_study_restores_counts_when_it_raises(self, two_blas_threads, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("replicate")
+
+        monkeypatch.setenv("NETMOMENT_THREADS", "1")
+        monkeypatch.setattr(simulation, "_run_replicate", failing)
+        with pytest.raises(RuntimeError, match="replicate"):
+            run_mc_study([GenSpec(n=12, seed=0)], replicates=1)
+        assert set(_blas_counts()) == {2}
+
+
+STUDY_SCRIPT = """
+import json
+from netmoment.simulation import CovariateRule, GenSpec, run_mc_study
+spec = GenSpec(n=200, family="poisson", gamma_star=(0.5, -0.5),
+               covariates=CovariateRule("iid_pm1", p=2), seed=2)
+print(json.dumps(run_mc_study([spec], replicates=2).records))
+"""
+
+
+def test_records_independent_of_blas_and_worker_threads():
+    """The same study in fresh interpreters gives equal records whether
+    OpenBLAS starts with its default thread count or one thread, and with
+    one worker or two.  Replicate 0 of this spec differs in its last
+    digits between two-thread and single-threaded BLAS on a 2-CPU host
+    when the fit's BLAS threads are left as the caller set them."""
+    runs = []
+    for blas in (None, "1"):
+        for workers in ("1", "2"):
+            env = dict(os.environ, NETMOMENT_THREADS=workers)
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(name, None)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", STUDY_SCRIPT], env=env,
+                                  capture_output=True, text=True, check=True, timeout=300)
+            runs.append(json.loads(proc.stdout))
+    assert all(not r["failed"] for r in runs[0])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    assert runs[3] == runs[0]
