@@ -6,9 +6,6 @@ JSON).
 """
 
 import argparse
-import contextlib
-import csv
-import json
 import sys
 from dataclasses import asdict
 
@@ -93,12 +90,6 @@ def _parse_floats(text, what):
     return values
 
 
-def _write_csv(out, rows):
-    """Write CSV rows to the file ``out``, or to stdout when it is None."""
-    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as handle:
-        csv.writer(handle).writerows(rows)
-
-
 def _run_fit(args):
     sources = (args.pair_covariates is not None) + (args.node_attrs is not None)
     if sources != 1:
@@ -120,14 +111,11 @@ def _run_fit(args):
     data = NetworkData(adjacency, covariates)
     result = fit(data, args.family, dataio.solver_config(vars(args)))
     bias_correct = not args.no_bias_correct
+    dest = args.out or sys.stdout
     if args.format == "json":
-        if args.out:
-            dataio.write_fit_result_json(args.out, result, bias_correct)
-        else:
-            json.dump(dataio.fit_result_to_dict(result, bias_correct), sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        dataio.write_fit_result_json(dest, result, bias_correct)
     else:
-        _write_csv(args.out, dataio.fit_result_csv_rows(result, bias_correct))
+        dataio.write_csv(dest, dataio.fit_result_csv_rows(result, bias_correct))
     return 0
 
 
@@ -144,14 +132,11 @@ def _run_simulate(args):
 def _run_mc_study(args):
     specs, replicates, config = dataio.parse_study_config(args.config, seed_override=args.seed)
     report = run_mc_study(specs, replicates, config)
+    dest = args.out or sys.stdout
     if args.format == "json":
-        if args.out:
-            dataio.write_report_json(args.out, report)
-        else:
-            json.dump(asdict(report), sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        dataio.write_json(dest, asdict(report))
     else:
-        _write_csv(args.out, dataio.report_csv_rows(report))
+        dataio.write_csv(dest, dataio.report_csv_rows(report))
     return 0
 
 
@@ -167,14 +152,11 @@ def main(argv=None):
             return _run_mc_study(args)
         except NonConvergenceError as exc:
             payload = {"error": str(exc), "trace": exc.trace}
-            if args.out:
-                with open(args.out, "w") as handle:
-                    json.dump(payload, handle, indent=2)
-                    handle.write("\n")
+            if args.out:  # before the message, so a failed write gives one error line
+                dataio.write_json(args.out, payload)
             print(f"error: {exc}", file=sys.stderr)
             if not args.out:
-                json.dump(payload, sys.stderr, indent=2)
-                sys.stderr.write("\n")
+                dataio.write_json(sys.stderr, payload)
             return 2
     except (_UsageError, DataError, SingularDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

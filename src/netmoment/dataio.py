@@ -7,7 +7,9 @@ exactly once, so they also fix the node count.  Floats are written with
 ``repr`` so a write/read round trip is bit-exact.
 """
 
+import contextlib
 import csv
+import itertools
 import json
 from dataclasses import asdict, fields
 
@@ -26,7 +28,7 @@ def _read_table(path, check_header, *spec):
     ``check_header(path, rows, *spec)`` raises on a bad header row or a
     missing body, else returns the number of fields every body row must have."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with handle:
@@ -35,6 +37,9 @@ def _read_table(path, check_header, *spec):
             rows = list(reader)
         except csv.Error as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # no line number: the text layer decodes ahead of the reader in chunks
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise DataError(f"{path}: file is empty, expected a header row")
     return _Table(path, rows[1:], check_header(path, rows, *spec))
@@ -195,13 +200,30 @@ def derive_pair_covariates(node_attrs, transform):
     raise DataError(f"unknown transform {transform!r}; choose euclidean_distance or match_indicator")
 
 
+def _output(dest):
+    """``dest`` if it is a text stream, else the file at path ``dest`` opened for writing."""
+    if hasattr(dest, "write"):
+        return contextlib.nullcontext(dest)
+    return open(dest, "w", newline="", encoding="utf-8")
+
+
+def write_json(dest, obj):
+    """Write ``obj`` as indented JSON and a newline to a path or text stream."""
+    with _output(dest) as handle:
+        json.dump(obj, handle, indent=2)
+        handle.write("\n")
+
+
+def write_csv(dest, rows):
+    """Write ``rows`` as CSV to a path or text stream."""
+    with _output(dest) as handle:
+        csv.writer(handle).writerows(rows)
+
+
 def _write_table(path, header, ids, values):
     """Write int id columns and float value columns as CSV; ``repr`` floats read back bit-exact."""
     fields = [map(str, c.tolist()) for c in ids] + [map(repr, c.tolist()) for c in values]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*fields))
+    write_csv(path, itertools.chain([header], zip(*fields)))
 
 
 def write_edges(path, data):
@@ -219,28 +241,18 @@ def write_pair_covariates(path, data):
 
 
 def fit_result_to_dict(result, bias_correct=True):
-    """JSON-ready dict of a fit with stable field names."""
-    out = {
-        "beta": result.beta.tolist(),
-        "gamma": result.gamma.tolist(),
-        "gamma_bc": result.gamma_bc.tolist() if bias_correct else None,
-        "se_beta": result.se_beta.tolist(),
-        "se_gamma": result.se_gamma.tolist(),
-        "bias": result.bias.tolist() if bias_correct else None,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual_degree": result.residual_degree,
-        "residual_covariate": result.residual_covariate,
-        "diagnostics": dict(result.diagnostics),
-        "trace": list(result.trace),
-    }
-    return out
+    """JSON-ready dict of the ``FitResult`` fields but ``profile_hessian``, arrays as lists;
+    ``gamma_bc`` and ``bias`` are None without bias correction."""
+    out = asdict(result)
+    del out["profile_hessian"]
+    if not bias_correct:
+        out["gamma_bc"] = out["bias"] = None
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
-def write_fit_result_json(path, result, bias_correct=True):
-    with open(path, "w") as handle:
-        json.dump(fit_result_to_dict(result, bias_correct), handle, indent=2)
-        handle.write("\n")
+def write_fit_result_json(dest, result, bias_correct=True):
+    """Write ``fit_result_to_dict`` as JSON to a path or text stream."""
+    write_json(dest, fit_result_to_dict(result, bias_correct))
 
 
 def fit_result_csv_rows(result, bias_correct=True):
@@ -254,12 +266,6 @@ def fit_result_csv_rows(result, bias_correct=True):
         for k, (g, se) in enumerate(zip(result.gamma_bc, result.se_gamma)):
             rows.append(["gamma_bc", k, repr(float(g)), repr(float(se))])
     return rows
-
-
-def write_report_json(path, report):
-    with open(path, "w") as handle:
-        json.dump(asdict(report), handle, indent=2)
-        handle.write("\n")
 
 
 def report_csv_rows(report):
@@ -383,10 +389,12 @@ def parse_study_config(path, seed_override=None):
     seed ``seed + k`` so grid points draw from distinct streams.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     values = {}
     for line_no, raw_line in enumerate(lines, start=1):

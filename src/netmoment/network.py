@@ -105,16 +105,13 @@ class NetworkData:
         entries sum_{j != i} x_ij.  Accepts shape (n_pairs,) or (n_pairs, k).
         """
         x = np.asarray(pair_values)
-        if x.ndim == 1:
-            return np.bincount(self.rows, weights=x, minlength=self.n) + np.bincount(
-                self.cols, weights=x, minlength=self.n
-            )
-        out = np.empty((self.n, x.shape[1]))
-        for k in range(x.shape[1]):
+        columns = x.reshape(len(x), -1)
+        out = np.empty((self.n, columns.shape[1]))
+        for k in range(columns.shape[1]):
             out[:, k] = np.bincount(
-                self.rows, weights=x[:, k], minlength=self.n
-            ) + np.bincount(self.cols, weights=x[:, k], minlength=self.n)
-        return out
+                self.rows, weights=columns[:, k], minlength=self.n
+            ) + np.bincount(self.cols, weights=columns[:, k], minlength=self.n)
+        return out.reshape((self.n,) + x.shape[1:])
 
 
 def covariate_magnitude(data):

@@ -14,7 +14,9 @@ independently of execution order or worker count.
 """
 
 import ctypes
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -62,8 +64,8 @@ class CovariateRule:
                 raise DataError("node_distance needs dim >= 1")
         elif self.p < 1:
             raise DataError("covariate rules need p >= 1")
-        if self.kind == "iid_uniform" and not self.low < self.high:
-            raise DataError("iid_uniform needs low < high")
+        if self.kind == "iid_uniform" and not 0.0 < self.high - self.low < np.inf:
+            raise DataError("iid_uniform needs low < high and a finite range high - low")
 
     @property
     def n_covariates(self):
@@ -107,6 +109,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 3:
             raise DataError("need at least 3 nodes")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
         fam = get_family(self.family)
         object.__setattr__(self, "family", fam.name)
         object.__setattr__(self, "gamma_star", tuple(float(g) for g in self.gamma_star))
@@ -383,7 +387,9 @@ def run_mc_study(specs, replicates, config=None):
     workers = _worker_count(len(tasks))
     with _single_blas_thread():
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # workers inherit the one-thread setting only when forked
+            fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 records = list(
                     pool.map(
                         _run_replicate,

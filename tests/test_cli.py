@@ -98,6 +98,17 @@ class TestSimulate:
         assert code == 1
         assert "gamma_star length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--covariate-rule", "iid_uniform", "--covariate-high", "inf"],
+    ])
+    def test_invalid_generation_setting_exits_one(self, tmp_path, capsys, flags):
+        code = main(["simulate", "--family", "logistic", "--n", "10", "--gamma-star", "0.5",
+                     "--out", str(tmp_path / "x"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unsamplable_poisson_mean_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--family", "poisson", "--n", "20",
                      "--gamma-star", "0.5", "--beta-range", "25",
@@ -443,6 +454,17 @@ seed = 5
         a = json.loads(out_a.read_text())
         b = json.loads(out_b.read_text())
         assert a["records"] != b["records"]
+
+    @pytest.mark.parametrize("flags, extra", [
+        (["--seed", "-3"], ""),
+        ([], "covariate_rule = iid_uniform\ncovariate_high = inf\n"),
+    ])
+    def test_invalid_generation_setting_exits_one(self, tmp_path, capsys, flags, extra):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG + extra)
+        assert main(["mc-study", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["mc-study", "--config", str(tmp_path / "absent.cfg")])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -24,8 +25,8 @@ from netmoment.dataio import (
     solver_config,
     write_edges,
     write_fit_result_json,
+    write_json,
     write_pair_covariates,
-    write_report_json,
 )
 from netmoment.errors import DataError
 from netmoment.estimation import SolverConfig, fit
@@ -62,6 +63,12 @@ class TestReadEdges:
         nonzero = int(np.count_nonzero(data.pair_weights))
         assert len(rows) == 1 + nonzero
         assert np.array_equal(read_edges(str(path), 12), data.adjacency)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"i,j,weight\n1,0,1\n2,\xff,1\n")
+        with pytest.raises(DataError, match=r"e\.csv: not UTF-8 text"):
+            read_edges(str(path), 3)
 
     def test_missing_pairs_default_to_zero(self, tmp_path):
         path = _write(tmp_path / "e.csv", "i,j,weight\n0,1,2.5\n")
@@ -433,6 +440,14 @@ class TestFitResultSerialization:
         assert out["converged"] is True
         assert out["beta"] == result.beta.tolist()
 
+    def test_dict_key_order_follows_readme(self, result):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("The JSON result has exactly these fields:")[1].split("\n\n")[1]
+        documented = [name for line in table.splitlines()[2:]
+                      for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert documented[0] == "beta" and documented[-1] == "trace"
+        assert list(fit_result_to_dict(result)) == documented
+
     def test_skipping_bias_correction_nulls_fields(self, result):
         out = fit_result_to_dict(result, bias_correct=False)
         assert out["gamma_bc"] is None
@@ -464,7 +479,7 @@ class TestFitResultSerialization:
 class TestReportSerialization:
     def test_dict_round_trips_through_json(self, report, tmp_path):
         path = tmp_path / "report.json"
-        write_report_json(str(path), report)
+        write_json(str(path), asdict(report))
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded == json.loads(json.dumps(asdict(report)))
@@ -609,6 +624,12 @@ max_outer = 150
         path = _write(tmp_path / "study.cfg", "family logistic\n")
         with pytest.raises(DataError, match="expected 'key = value'"):
             parse_study_config(path)
+
+    def test_non_utf8_comment(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_bytes("# r\u00e9sum\u00e9\n".encode("latin-1") + self.GOOD.encode())
+        with pytest.raises(DataError, match=r"study\.cfg: not UTF-8 text"):
+            parse_study_config(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):

@@ -71,6 +71,12 @@ class TestCovariateRule:
         with pytest.raises(DataError, match="low < high"):
             CovariateRule(kind="iid_uniform", low=1.0, high=1.0)
 
+    @pytest.mark.parametrize("low, high",
+                             [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)])
+    def test_rejects_infinite_uniform_range(self, low, high):
+        with pytest.raises(DataError, match="finite range"):
+            CovariateRule(kind="iid_uniform", low=low, high=high)
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DataError, match="p >= 1"):
             CovariateRule(kind="iid_pm1", p=0)
@@ -84,6 +90,10 @@ class TestGenSpecValidation:
     def test_rejects_tiny_network(self):
         with pytest.raises(DataError, match="at least 3 nodes"):
             GenSpec(n=2)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DataError, match="seed must be nonnegative"):
+            GenSpec(n=10, seed=-1)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(DataError):
@@ -517,3 +527,21 @@ def test_records_independent_of_blas_and_worker_threads():
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
     assert runs[3] == runs[0]
+
+
+def test_records_independent_of_start_method():
+    """Workers get the one-thread BLAS setting under any start method the
+    caller sets.  Under forkserver, workers that start a fresh interpreter
+    with default BLAS threads give records that differ in their last digits
+    on a 2-CPU host."""
+    env = dict(os.environ, NETMOMENT_THREADS="2")
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    forkserver = "import multiprocessing\nmultiprocessing.set_start_method('forkserver', force=True)\n"
+    runs = []
+    for prelude in ("", forkserver):
+        proc = subprocess.run([sys.executable, "-c", prelude + STUDY_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        runs.append(json.loads(proc.stdout))
+    assert runs[1] == runs[0]
