@@ -4,13 +4,17 @@ File conventions: comma separator, ``.`` decimal point, mandatory header
 row, 0-based integer node ids.  Edge lists carry one row per unordered
 pair with nonzero weight; covariate files carry every unordered pair
 exactly once, so they also fix the node count.  Floats are written with
-``repr`` so a write/read round trip is bit-exact.
+``repr`` so a write/read round trip is bit-exact.  Tables are parsed by
+numpy's C reader when that is safe, else by a checked reader that alone
+writes error messages (see ``_read_table``).
 """
 
 import contextlib
 import csv
 import itertools
 import json
+import math
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -21,78 +25,115 @@ from .network import pair_count, pair_indices, pair_offset
 from .simulation import CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
+# the bytes of a body whose numbers numpy's and Python's parsers read alike
+_PLAIN_BYTES = b"0123456789+-.eE, \r\n"
+_BLOCK_ROWS = 8192
 
 
-def _read_table(path, check_header, *spec):
-    """Open the CSV table at ``path`` and return its body as a ``_Table``;
-    ``check_header(path, rows, *spec)`` raises on a bad header row or a
-    missing body, else returns the number of fields every body row must have."""
+def _read_table(path, build, check_header, *spec):
+    """``build(ids, values)`` on the int64 id and float value columns of the CSV file at ``path``.
+
+    numpy's C reader (``np.loadtxt``) parses the columns first.  They are
+    used only if the header has no quote and passes ``check_header``, the
+    body is plain (``_plain_lines``), numpy parsed a row per line with no
+    error or warning, every value is finite, and ``build`` raised no
+    ``DataError``.  On any doubt ``_read_checked`` parses the file again,
+    and its result or error is returned: it alone writes error text, so
+    nothing depends on the parser.
+    """
+    with contextlib.suppress(DataError, OSError, ValueError, csv.Error, Warning):
+        with open(path, "rb") as handle:
+            header, lines = handle.readline(), _plain_lines(handle)
+        if b'"' in header:  # a quote may open a field that runs past this line
+            raise ValueError("quoted header")
+        n_ids, width, _ = check_header(path, next(csv.reader([header.decode()])), lines == 0, *spec)
+        dtype = [("ids", np.int64, (n_ids,)), ("values", float, (width - n_ids,))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(path, dtype, delimiter=",", skiprows=1, ndmin=1, encoding="utf-8")
+        if len(body) == lines and np.isfinite(body["values"]).all():
+            return build(body["ids"], body["values"])
+    return build(*_read_checked(path, check_header, *spec))
+
+
+def _plain_lines(handle):
+    """The number of lines left in the binary file ``handle``; raises ``ValueError`` unless all
+    bytes are ``_PLAIN_BYTES``, each ``\\r`` ends a line and every line fits csv's field limit."""
+    size = csv.field_size_limit() // 2 - 1  # a line over the limit fills a whole read
+    lines, last = 0, b"\n"
+    while block := handle.read(size):
+        if block.endswith(b"\r"):
+            block += handle.read(1)
+        newline, cr = (np.frombuffer(block, np.uint8) == byte for byte in b"\n\r")
+        lone_cr = np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & newline[1:])
+        ends = np.count_nonzero(newline)
+        if block.translate(None, _PLAIN_BYTES) or lone_cr or not ends and len(block) >= size:
+            raise ValueError("not a plain body")
+        lines, last = lines + ends, block[-1:]
+    return lines + (last != b"\n")
+
+
+def _read_checked(path, check_header, *spec):
+    """The columns ``csv`` and ``_number`` read.  ``check_header(path, header, empty, *spec)``
+    rejects a bad header or ``empty`` body, or returns (id columns, fields, values' name)."""
+    reader = csv.reader(_lines(path))
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            # no line number: the text layer decodes ahead of the reader in chunks
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file is empty, expected a header row")
-    return _Table(path, rows[1:], check_header(path, rows, *spec))
-
-
-class _Table:
-    """The body rows of a CSV table as an object array of field strings.
-
-    A check that fails raises a ``DataError`` naming the file and the line
-    of the first row that fails it.
-    """
-
-    def __init__(self, path, body, width):
-        self.path = path
-        counts = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-        self.check(counts != width, lambda r: f"expected {width} fields, got {counts[r]}")
-        self.text = np.array(body, dtype=object).reshape(len(body), width)
-
-    def check(self, bad, message):
-        """Raise ``message(r)`` for the first row r of the mask ``bad``."""
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            raise DataError(f"{self.path} line {hits[0] + 2}: {message(hits[0])}")
-
-    def parse(self, columns, dtype, what):
-        """The given columns as ``dtype``; float columns must be finite."""
-        block = self.text[:, columns]
+    n_ids, width, what = check_header(path, rows[0], len(rows) == 1, *spec)
+    ids, values = [], []
+    for line, row in enumerate(rows[1:], start=2):
         try:
-            values = block.astype(dtype)
-        except (ValueError, OverflowError):
-            defects = (_field_defect(text, dtype, what) for text in block.ravel().tolist())
-            k, defect = next((k, d) for k, d in enumerate(defects) if d)
-            raise DataError(f"{self.path} line {k // block.shape[1] + 2}: {defect}") from None
-        self.check(~np.isfinite(values).all(axis=1), lambda r: f"{what} must be finite")
-        return values
-
-    def check_pairs(self, i, j):
-        """Reject a pair repeated in either order; return the pair offsets."""
-        hi, lo = np.maximum(i, j), np.minimum(i, j)
-        offsets = pair_offset(hi, lo)
-        self.check(_repeats(offsets), lambda r: f"duplicate unordered pair ({hi[r]}, {lo[r]})")
-        return offsets
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            ids += [_number(field, int, "node id") for field in row[:n_ids]]
+            values += [_number(field, float, what) for field in row[n_ids:]]
+        except ValueError as exc:
+            raise DataError(f"{path} line {line}: {exc}") from None
+    return np.array(ids, np.int64).reshape(-1, n_ids), np.array(values).reshape(-1, width - n_ids)
 
 
-def _field_defect(text, dtype, what):
-    """What is wrong with one field, or None."""
+def _lines(path):
+    """The lines of the UTF-8 text file at ``path``, line ends kept."""
     try:
-        value = np.array(text, dtype=object).astype(dtype)
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield from handle
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        # no line number: the text layer decodes ahead of the reader in chunks
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _number(text, kind, what):
+    """The field ``text`` as an int64 ``int`` or a finite ``float``; raises ``ValueError``."""
+    try:
+        value = kind(text)
     except ValueError:
-        return f"{what} {text!r} is not {'a number' if dtype is float else 'an integer'}"
-    except OverflowError:
-        return f"{what} {text!r} is out of range"
-    return None if np.isfinite(value) else f"{what} must be finite"
+        raise ValueError(f"{what} {text!r} is not {'an integer' if kind is int else 'a number'}")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} {text!r} is out of range")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
+def _check(path, bad, message):
+    """Raise a ``DataError`` with ``message(r)`` for the first row r of the mask ``bad``."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise DataError(f"{path} line {hits[0] + 2}: {message(hits[0])}")
+
+
+def _check_pairs(path, i, j):
+    """Reject a pair repeated in either order; return the pair offsets."""
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    offsets = pair_offset(hi, lo)
+    _check(path, _repeats(offsets), lambda r: f"duplicate unordered pair ({hi[r]}, {lo[r]})")
+    return offsets
 
 
 def _repeats(keys):
@@ -102,23 +143,24 @@ def _repeats(keys):
     return repeat
 
 
-def _numbered_header(path, rows, ids, prefix, usage, noun):
+def _numbered_header(path, header, empty, ids, prefix, usage, noun):
     """Check for a header ``ids`` then prefix1, prefix2, ... and for a body."""
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in header]
     if len(header) <= len(ids) or header[: len(ids)] != ids:
         raise DataError(f"{path}: expected header {usage!r}")
     expected = [f"{prefix}{k}" for k in range(1, len(header) - len(ids) + 1)]
     if header[len(ids) :] != expected:
         raise DataError(f"{path}: {noun} columns must be named {','.join(expected)}")
-    if len(rows) == 1:
+    if empty:
         raise DataError(f"{path}: no {noun} rows")
-    return len(header)
+    return len(ids), len(header), noun
 
 
-def _edge_header(path, rows):
-    if [c.strip() for c in rows[0]] != ["i", "j", "weight"]:
-        raise DataError(f"{path}: expected header 'i,j,weight', got {','.join(rows[0])!r}")
-    return 3
+def _edge_header(path, header, empty):
+    """Check for the header ``i,j,weight``; an edge list may be ``empty``."""
+    if [c.strip() for c in header] != ["i", "j", "weight"]:
+        raise DataError(f"{path}: expected header 'i,j,weight', got {','.join(header)!r}")
+    return 2, 3, "weight"
 
 
 def read_edges(path, n):
@@ -127,16 +169,17 @@ def read_edges(path, n):
     Pairs absent from the file get weight zero.  Self-loops, duplicate
     unordered pairs, and node ids outside [0, n) are rejected.
     """
-    table = _read_table(path, _edge_header)
-    i, j = table.parse([0, 1], np.int64, "node id").T
-    weight = table.parse([2], float, "weight")[:, 0]
-    table.check(i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
-    table.check((i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
-    table.check_pairs(i, j)
-    adjacency = np.zeros((n, n))
-    adjacency[i, j] = weight
-    adjacency[j, i] = weight
-    return adjacency
+
+    def build(ids, weights):
+        i, j = ids.T
+        _check(path, i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
+        _check(path, (i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
+        _check_pairs(path, i, j)
+        adjacency = np.zeros((n, n))
+        adjacency[i, j] = adjacency[j, i] = weights[:, 0]
+        return adjacency
+
+    return _read_table(path, build, _edge_header)
 
 
 def read_pair_covariates(path):
@@ -146,38 +189,38 @@ def read_pair_covariates(path):
     inferred from the largest id and validated against the row count.
     Returns (n, covariates) with covariates in pair-offset order.
     """
-    table = _read_table(path, _numbered_header, ["i", "j"], "z", "i,j,z1,...,zp", "covariate")
-    i, j = table.parse([0, 1], np.int64, "node id").T
-    table.check(i == j, lambda r: f"self-pair at node {i[r]} is not allowed")
-    table.check((i < 0) | (j < 0), lambda r: "node ids must be nonnegative")
-    z = table.parse(slice(2, None), float, "covariate")
-    n = int(max(i.max(), j.max())) + 1
-    if len(z) != pair_count(n):
-        raise DataError(
-            f"{path}: {len(z)} rows but {pair_count(n)} unordered pairs "
-            f"exist for the {n} nodes referenced; every pair must appear exactly once"
-        )
-    offsets = table.check_pairs(i, j)
-    # duplicates were rejected and the row count matches, so no pair is missing
-    covariates = np.empty_like(z)
-    covariates[offsets] = z
-    return n, covariates
+
+    def build(ids, z):
+        i, j = ids.T
+        _check(path, i == j, lambda r: f"self-pair at node {i[r]} is not allowed")
+        _check(path, (i < 0) | (j < 0), lambda r: "node ids must be nonnegative")
+        n = int(ids.max()) + 1
+        if len(z) != pair_count(n):
+            raise DataError(
+                f"{path}: {len(z)} rows but {pair_count(n)} unordered pairs "
+                f"exist for the {n} nodes referenced; every pair must appear exactly once"
+            )
+        # duplicates are rejected and the row count matches, so no pair is missing
+        covariates = np.empty_like(z)
+        covariates[_check_pairs(path, i, j)] = z
+        return n, covariates
+
+    return _read_table(path, build, _numbered_header, ["i", "j"], "z", "i,j,z1,...,zp", "covariate")
 
 
 def read_node_attrs(path):
     """Read a node-attribute CSV (header ``i,x1,...,xk``), one row per node."""
-    table = _read_table(path, _numbered_header, ["i"], "x", "i,x1,...,xk", "attribute")
-    n = len(table.text)
-    i = table.parse([0], np.int64, "node id")[:, 0]
-    table.check(
-        (i < 0) | (i >= n),
-        lambda r: f"node id {i[r]} outside [0, {n}); ids must cover every node exactly once",
-    )
-    table.check(_repeats(i), lambda r: f"node {i[r]} appears twice")
-    x = table.parse(slice(1, None), float, "attribute")
-    attrs = np.empty_like(x)
-    attrs[i] = x
-    return attrs
+
+    def build(ids, x):
+        i, n = ids[:, 0], len(ids)
+        outside = f"outside [0, {n}); ids must cover every node exactly once"
+        _check(path, (i < 0) | (i >= n), lambda r: f"node id {i[r]} {outside}")
+        _check(path, _repeats(i), lambda r: f"node {i[r]} appears twice")
+        attrs = np.empty_like(x)
+        attrs[i] = x
+        return attrs
+
+    return _read_table(path, build, _numbered_header, ["i"], "x", "i,x1,...,xk", "attribute")
 
 
 def derive_pair_covariates(node_attrs, transform):
@@ -221,9 +264,15 @@ def write_csv(dest, rows):
 
 
 def _write_table(path, header, ids, values):
-    """Write int id columns and float value columns as CSV; ``repr`` floats read back bit-exact."""
-    fields = [map(str, c.tolist()) for c in ids] + [map(repr, c.tolist()) for c in values]
-    write_csv(path, itertools.chain([header], zip(*fields)))
+    """Write int id columns and float value columns as CSV, ``_BLOCK_ROWS`` rows at a time."""
+
+    def rows(k):
+        part = slice(k, k + _BLOCK_ROWS)
+        fields = [map(str, c[part].tolist()) for c in ids]
+        return zip(*fields, *[map(repr, c[part].tolist()) for c in values])
+
+    blocks = map(rows, range(0, len(ids[0]), _BLOCK_ROWS))
+    write_csv(path, itertools.chain([header], itertools.chain.from_iterable(blocks)))
 
 
 def write_edges(path, data):
@@ -388,16 +437,8 @@ def parse_study_config(path, seed_override=None):
     Returns (specs, replicates, solver_config); spec k in the n-grid uses
     seed ``seed + k`` so grid points draw from distinct streams.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
     values = {}
-    for line_no, raw_line in enumerate(lines, start=1):
+    for line_no, raw_line in enumerate(_lines(path), start=1):
         text = raw_line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -3,7 +3,9 @@
 import csv
 import json
 import re
+import sys
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmoment import dataio
 from netmoment.dataio import (
     derive_pair_covariates,
     fit_result_csv_rows,
@@ -283,6 +286,50 @@ _LINE_4_DEFECTS = [
     ("attrs", "1,5.0,6.0"),               # repeated node
 ]
 
+_EDGES = b"i,j,weight\n"
+_COVARIATES = b"i,j,z1\n"
+_ATTRS = b"i,x1\n"
+# Files on which numpy's C reader and the checked reader could disagree.
+_DISAGREEMENTS = [
+    ("edges", _EDGES + b"1,0,0.5\n\n2,1,1.5\n"),              # blank line in the body
+    ("edges", _EDGES + b"1,0,0.5\n2,1,1.5\n\n"),              # trailing blank line
+    ("edges", _EDGES + b"1,0,0.5\n   \n2,1,1.5\n"),           # whitespace-only line
+    ("edges", _EDGES + b"1,0,0.5\r\n\r\n2,1,1.5\r\n"),        # blank \r\n line
+    ("edges", b"\xef\xbb\xbf" + _EDGES + b"1,0,0.5\n"),        # UTF-8 BOM
+    ("covariates", b"\xef\xbb\xbf" + _COVARIATES + b"1,0,1\n2,0,2\n2,1,3\n"),
+    ("edges", _EDGES.replace(b"\n", b"\r\n") + b"1,0,0.5\r\n2,1,1.5\r\n"),  # \r\n line ends
+    ("edges", _EDGES + b"1,0,0.5\r2,1,1.5\n"),                # lone \r
+    ("edges", _EDGES + b"1,0,0.5\r2,1,1.5\n\n"),             # lone \r and a blank line
+    ("edges", b"i,j,weight\r1,0,0.5\n2,1,1.5\n"),            # lone \r after the header
+    ("edges", b'i,j,"weight\r"\n1,0,0.5\n2,1,1.5\n'),         # lone \r in a quoted header
+    ("edges", b'i,j,"weight\n1,0,0.5\n'),                    # quote left open in the header
+    ("covariates", b'i,j,"z1\n1,0,1\n2,0,2\n2,1,3\n'),
+    ("edges", _EDGES + b"1,0,0.5\n2,1,1.5"),                  # no final newline
+    ("attrs", _ATTRS + b"0,1.5\n1,2.5"),
+    ("edges", _EDGES + b'"1","0","0.5"\n2,1,1.5\n'),          # quoted fields
+    ("edges", _EDGES + b'1,0,"0,5"\n'),                       # quoted comma
+    ("edges", _EDGES + b"#1,0,0.5\n"),                        # fields starting with #
+    ("edges", _EDGES + b"1,0,#0.5\n"),
+    pytest.param(
+        "edges", _EDGES + b"1,0,0.5\x00\n",                   # NUL byte
+        marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11"),
+    ),
+    ("edges", _EDGES + b"\t1\t,0,\t0.5\t\n"),                 # tab padding
+    ("attrs", _ATTRS + b"1,\t2.5\n0, 1.5 \n"),
+    ("edges", _EDGES + "\u0662,0,0.5\n".encode()),            # Arabic-Indic digit id
+    ("edges", _EDGES + b"1,0,1_000.5\n"),
+    ("covariates", _COVARIATES + b"1,0,1_0\n2,0,2\n2,1,3\n"),
+    ("edges", _EDGES + b"1.0,0,0.5\n"),                       # id written as a float
+    ("covariates", _COVARIATES + b"1,0,1\n2.0,0,2\n2,1,3\n"),
+    ("edges", _EDGES + b"1,0,nan\n"),                         # non-finite spellings
+    ("edges", _EDGES + b"1,0,Infinity\n"),
+    ("edges", _EDGES + b"1,0,1e400\n"),
+    ("covariates", _COVARIATES + b"1,0,1\n2,0,-1e400\n2,1,3\n"),
+    ("attrs", _ATTRS + b"0,1.5\n1,1e400\n"),
+    ("edges", _EDGES + b"1,0,1.5\x1c\n"),                     # numpy strips \x1c as space
+    ("edges", _EDGES),                                         # header only
+]
+
 
 def _with_line_4(kind, row):
     lines = list(_VALID[kind])
@@ -342,6 +389,131 @@ class TestReaderContract:
         assert str(got.value) == (
             f"{path} line 4: node id '9223372036854775808' is out of range"
         )
+
+    def test_overlong_field_that_numpy_reads(self, tmp_path):
+        """``np.loadtxt`` parses a field of 200,000 zeros; csv refuses it."""
+        path = _write(tmp_path / "e.csv", "i,j,weight\n1,0,1\n2,1," + "0" * 200_000 + "\n")
+        with pytest.raises(DataError, match=r"line 3: field larger than field limit"):
+            read_edges(path, 5)
+
+    @pytest.mark.parametrize("kind,text", _DISAGREEMENTS)
+    def test_parser_disagreement_matches_reference(self, kind, text, tmp_path):
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(text)
+        read, reference = _READERS[kind]
+        got, want = _outcome(read, str(path)), _outcome(reference, str(path))
+        if isinstance(want, str):
+            assert got == want
+        elif kind == "covariates":
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,text", [
+        ("covariates", b"i,j,z1\n1,0,abc\n2,2,1\n2,1,3\n"),   # bad value before a self-pair
+        ("attrs", b"i,x1\n0,nan\n0,1.5\n"),                   # bad value before a repeated id
+        ("edges", b"i,j,weight\n1,x,1\n2,1\n"),               # bad id before a short row
+    ])
+    def test_first_defective_line_wins(self, kind, text, tmp_path):
+        """With several parse defects, or a parse defect before a structural
+        one, the error names the first defective line, as the row-by-row
+        reference does."""
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(text)
+        read, reference = _READERS[kind]
+        assert _outcome(read, str(path)) == _outcome(reference, str(path))
+        assert " line 2: " in _outcome(read, str(path))
+
+    def test_parse_defect_is_reported_before_structural_defect(self, tmp_path):
+        """Every row is parsed before the structural checks (self-loops, id
+        range, repeated pairs) run, so a parse defect on a later line is
+        reported where the row-by-row reference names the earlier self-loop."""
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"i,j,weight\n1,1,0.5\n2,0,x\n")
+        assert _outcome(_READERS["edges"][0], str(path)) == (
+            f"{path} line 3: weight 'x' is not a number"
+        )
+        assert _outcome(_READERS["edges"][1], str(path)) == (
+            f"{path} line 2: self-loop at node 1 is not allowed"
+        )
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the text of the ``DataError`` it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def no_checked_reader(monkeypatch):
+    def checked(*args):
+        raise AssertionError("the checked reader ran on a plain file")
+
+    monkeypatch.setattr(dataio, "_read_checked", checked)
+
+
+class TestFastPath:
+    """Plain files are parsed by ``np.loadtxt`` alone.  A silent fallback to
+    the checked reader would keep every other test green and lose the speed."""
+
+    @pytest.mark.parametrize("kind", sorted(_VALID))
+    @pytest.mark.parametrize("newline,end", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+    @pytest.mark.usefixtures("no_checked_reader")
+    def test_plain_file_skips_checked_reader(self, kind, newline, end, tmp_path):
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes((newline.join(_VALID[kind]) + end).encode())
+        read, reference = _READERS[kind]
+        got, want = read(str(path)), reference(str(path))
+        if kind == "covariates":
+            assert got[0] == want[0]
+            got, want = got[1], want[1]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.usefixtures("no_checked_reader")
+    def test_written_files_skip_checked_reader(self, tmp_path):
+        data, _, _ = build_noise_free("logistic", 11, 2, seed=4)
+        edges, covariates = str(tmp_path / "e.csv"), str(tmp_path / "z.csv")
+        write_edges(edges, data)
+        write_pair_covariates(covariates, data)
+        n, z = read_pair_covariates(covariates)
+        assert n == 11 and np.array_equal(z, data.covariates)
+        assert np.array_equal(read_edges(edges, n), data.adjacency)
+
+    @pytest.mark.usefixtures("no_checked_reader")
+    def test_line_end_split_between_reads(self, tmp_path, monkeypatch):
+        """The body is scanned in reads of half the csv field limit; a read
+        that ends between ``\\r`` and ``\\n`` holds no lone ``\\r``."""
+        monkeypatch.setattr(csv, "field_size_limit", lambda: 16)  # reads of 7 bytes
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"i,x1\r\n" + b"".join(b"%d,%d\r\n" % (k, k) for k in range(8)))
+        assert np.array_equal(read_node_attrs(str(path)), np.arange(8.0)[:, None])
+
+    def test_numpy_warning_falls_back(self, tmp_path, monkeypatch):
+        """numpy 1.23 to 1.26 parse an id written ``1.0`` with a
+        ``DeprecationWarning``; a warning must send the file to the checked
+        reader even when numpy returns ids that would pass every check."""
+        path = _write(tmp_path / "e.csv", "\n".join(_VALID["edges"]) + "\n")
+        loadtxt = np.loadtxt
+
+        def warn_with_wrong_ids(*args, **kwargs):
+            body = loadtxt(*args, **kwargs)
+            body["ids"] = 4 - body["ids"]
+            warnings.warn("conversion of a float to an integer", DeprecationWarning)
+            return body
+
+        monkeypatch.setattr(np, "loadtxt", warn_with_wrong_ids)
+        assert np.array_equal(read_edges(path, 5), read_edges_ref(path, 5))
+
+    def test_header_only_edges_file_warns_nothing(self, tmp_path):
+        """``np.loadtxt`` warns on a body without rows; the warning must not
+        reach the caller, even when warnings are errors."""
+        path = _write(tmp_path / "e.csv", "i,j,weight\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjacency = read_edges(path, 4)
+        assert np.array_equal(adjacency, np.zeros((4, 4)))
 
 
 _FLOATS = st.one_of(
