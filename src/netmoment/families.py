@@ -5,10 +5,14 @@ index ``pi`` (the sum of the two endpoint degree parameters and the homophily
 component).  A family exposes the mean function, its first three derivatives
 in the index, the edge-weight variance, and a sampler.  All methods are
 vectorized over ``pi`` and are pure functions of their inputs.
+
+The logistic mean is evaluated with numpy alone.  The normal CDF and its
+inverse, used only by the probit family, come from ``scipy.special``, which
+is imported on first use: it takes longer to load than the rest of the
+package, and a logistic or Poisson run never needs it.
 """
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 from .errors import DataError
 
@@ -27,6 +31,20 @@ def _as_finite_array(pi):
 
 def _normal_pdf(pi):
     return _INV_SQRT_2PI * np.exp(-0.5 * pi * pi)
+
+
+def _logistic(pi):
+    # scipy's expit formula; exp(-pi) overflows to inf for pi < -709, where
+    # the quotient is the correct 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-pi))
+
+
+def _special():
+    # imported here, not at module level: see the module docstring
+    import scipy.special
+
+    return scipy.special
 
 
 class EdgeFamily:
@@ -62,21 +80,25 @@ class EdgeFamily:
 class LogisticFamily(EdgeFamily):
     """Binary edges with P(edge) = e^pi / (1 + e^pi).
 
-    All three mean derivatives are bounded by 1/4 in absolute value.
+    The mean is evaluated as 1 / (1 + exp(-pi)) with numpy, the formula of
+    scipy's ``expit``.  The two differ only through their ``exp`` routines,
+    by a few units in the last place at most.  The derivatives follow from
+    the mean mu, mu' = mu(1 - mu); all three are bounded by 1/4 in absolute
+    value.
     """
 
     name = "logistic"
     support = "binary"
 
     def mean(self, pi):
-        return expit(_as_finite_array(pi))
+        return _logistic(_as_finite_array(pi))
 
     def mean_slope(self, pi):
-        mu = expit(_as_finite_array(pi))
+        mu = _logistic(_as_finite_array(pi))
         return mu * (1.0 - mu)
 
     def mean_derivs(self, pi):
-        mu = expit(_as_finite_array(pi))
+        mu = _logistic(_as_finite_array(pi))
         m1 = mu * (1.0 - mu)
         m2 = m1 * (1.0 - 2.0 * mu)
         m3 = m1 * (1.0 - 2.0 * mu) ** 2 - 2.0 * m1 * m1
@@ -127,8 +149,9 @@ class PoissonFamily(EdgeFamily):
 class ProbitFamily(EdgeFamily):
     """Binary edges with P(edge) = Phi(pi), the standard normal CDF.
 
-    Phi is evaluated through the erf-based routine in scipy (absolute error
-    well below 1e-12).  Derivatives follow from the normal density phi:
+    Phi is evaluated through scipy's erf-based ``ndtr`` (absolute error well
+    below 1e-12); ``scipy.special`` is imported on the first call that needs
+    it.  The derivatives follow from the normal density phi:
     mu' = phi(pi), mu'' = -pi * phi(pi), mu''' = (pi^2 - 1) * phi(pi).
     """
 
@@ -136,7 +159,7 @@ class ProbitFamily(EdgeFamily):
     support = "binary"
 
     def mean(self, pi):
-        return ndtr(_as_finite_array(pi))
+        return _special().ndtr(_as_finite_array(pi))
 
     def mean_slope(self, pi):
         return _normal_pdf(_as_finite_array(pi))
@@ -188,7 +211,7 @@ def initial_degree_params(family, degrees, n):
         delta = 1.0 / (2.0 * (n - 1))
         rate = np.clip(rate, delta, 1.0 - delta)
         if family.name == "probit":
-            return 0.5 * ndtri(rate)
+            return 0.5 * _special().ndtri(rate)
         return 0.5 * (np.log(rate) - np.log1p(-rate))
     # count support: match e^(2 beta) = d_i / (n - 1), with a floor on d_i
     return 0.5 * np.log(np.maximum(degrees, 0.5) / (n - 1))

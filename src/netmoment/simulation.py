@@ -14,10 +14,8 @@ independently of execution order or worker count.
 """
 
 import ctypes
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -387,6 +385,19 @@ def run_mc_study(specs, replicates, config=None):
     workers = _worker_count(len(tasks))
     with _single_blas_thread():
         if workers > 1:
+            # imported here so that a process that never runs a study
+            # (the CLI's simulate and fit) does not load the pool machinery
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # load here once, not in every forked worker, what the workers
+            # would import on first use: numpy.random (numpy loads it
+            # lazily) and what a family loads (scipy.special for probit)
+            import numpy.random  # noqa: F401
+
+            for name in {spec.family for spec in specs}:
+                get_family(name).mean(0.0)
+
             # workers inherit the one-thread setting only when forked
             fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:

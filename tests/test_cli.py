@@ -8,6 +8,7 @@ module entry point wiring.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib.metadata import entry_points
@@ -22,6 +23,7 @@ from netmoment.cli import main
 from netmoment.dataio import read_pair_covariates, write_edges, write_pair_covariates
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 N_NODES = 12
 BETA_STAR = ",".join(["0.2"] * N_NODES)
 
@@ -535,3 +537,40 @@ class TestEntryPoints:
         matches = [ep for ep in scripts if ep.name == "netmoment"]
         assert len(matches) == 1
         assert matches[0].value == "netmoment.cli:main"
+
+
+# Runs in a fresh interpreter: the test process has scipy loaded already.
+START_UP_SCRIPT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import netmoment
+assert not scipy_modules(), ("import netmoment", scipy_modules())
+from netmoment.cli import main
+assert not scipy_modules(), ("import netmoment.cli", scipy_modules())
+
+prefix = sys.argv[1] + "/net"
+edges, covariates = prefix + "_edges.csv", prefix + "_covariates.csv"
+assert main(["simulate", "--family", "logistic", "--n", "16", "--gamma-star", "0.4",
+             "--seed", "11", "--out", prefix]) == 0
+assert main(["fit", "--family", "logistic", "--edges", edges, "--pair-covariates",
+             covariates, "--out", prefix + "_logistic.json"]) == 0
+assert not scipy_modules(), ("logistic simulate and fit", scipy_modules())
+
+assert main(["fit", "--family", "probit", "--edges", edges, "--pair-covariates",
+             covariates, "--out", prefix + "_probit.json"]) == 0
+assert "scipy.special" in sys.modules, "probit fit"
+"""
+
+
+def test_scipy_loads_only_for_probit(tmp_path):
+    """scipy.special takes longer to import than the rest of the package,
+    so a logistic CLI process must never load it; the probit family loads
+    it on first use."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", START_UP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

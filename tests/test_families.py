@@ -1,8 +1,11 @@
 """Edge family means, derivatives, variances, and samplers."""
 
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
+from scipy.special import expit
 
 from netmoment.errors import DataError
 from netmoment.families import get_family, initial_degree_params
@@ -35,6 +38,34 @@ class TestLogisticClosedForms:
         m1, m2, m3 = fam.mean_derivs(grid)
         for deriv in (m1, m2, m3):
             assert np.abs(deriv).max() <= 0.25 + 1e-12
+
+
+class TestLogisticMeanAgainstExpit:
+    """scipy's expit evaluates the same formula, 1 / (1 + exp(-x)), with
+    libm's exp; numpy's exp may differ from it by one unit in the last
+    place (ulp)."""
+
+    def test_within_one_ulp_on_grid(self):
+        grid = np.array([1e-300, 1.0, 36.0, 709.0, 800.0])
+        x = np.concatenate([-grid, [0.0], grid])
+        assert_array_max_ulp(get_family("logistic").mean(x), expit(x), maxulp=1)
+
+    def test_relative_error_bound_on_dense_grid(self):
+        # a 1-ulp difference in exp(-x) can grow to a few ulps of the mean
+        # when 1 + exp(-x) and the quotient round in opposite directions:
+        # relative error below 3 eps
+        x = np.linspace(-40.0, 40.0, 8001)
+        assert_allclose(get_family("logistic").mean(x), expit(x),
+                        rtol=3 * np.finfo(float).eps, atol=0)
+
+    def test_saturates_without_warning(self):
+        fam = get_family("logistic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fam.mean(-800.0) == 0.0
+            assert fam.mean(800.0) == 1.0
+            m1, m2, m3 = fam.mean_derivs(np.array([-800.0, 800.0]))
+        assert not np.any(m1) and not np.any(m2) and not np.any(m3)
 
 
 class TestPoissonClosedForms:
