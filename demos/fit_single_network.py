@@ -27,11 +27,8 @@ def main():
     network = generate_with_truth(spec)
     data = network.data
 
-    degrees = np.zeros(data.n)
-    np.add.at(degrees, data.rows, data.pair_weights)
-    np.add.at(degrees, data.cols, data.pair_weights)
     print(f"generated a {data.n}-node logistic network, seed {spec.seed}")
-    print(f"observed degrees range from {degrees.min():.0f} to {degrees.max():.0f}")
+    print(f"observed degrees range from {data.degrees.min():.0f} to {data.degrees.max():.0f}")
 
     result = fit(data, "logistic")
     print(f"\nconverged: {result.converged} after {result.iterations} Newton iterates")

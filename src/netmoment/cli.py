@@ -107,8 +107,7 @@ def _run_fit(args):
         attrs = dataio.read_node_attrs(args.node_attrs)
         covariates = dataio.derive_pair_covariates(attrs, args.transform)
         n = attrs.shape[0]
-    adjacency = dataio.read_edges(args.edges, n)
-    data = NetworkData(adjacency, covariates)
+    data = NetworkData(dataio.read_edges(args.edges, n), covariates)
     result = fit(data, args.family, dataio.solver_config(vars(args)))
     bias_correct = not args.no_bias_correct
     dest = args.out or sys.stdout

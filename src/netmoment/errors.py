@@ -10,7 +10,7 @@ class DataError(NetmomentError, ValueError):
 
 
 class DegenerateDegreeError(DataError):
-    """Degrees on the boundary of their achievable range: no finite solution.
+    """Degrees with no finite solution: on the boundary of their range, or infinite.
 
     Carries the offending node ids in ``nodes``.
     """

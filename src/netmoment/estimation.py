@@ -76,13 +76,13 @@ def _pair_index(data, beta, gamma):
     return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
 
 
-def _jacobian_from_slopes(data, slope):
-    """Dense degree Jacobian assembled from the per-pair mean slopes."""
+def _jacobian_from_slopes(data, slope, slope_sums):
+    """Dense degree Jacobian assembled from the per-pair mean slopes and their node sums."""
     n = data.n
     v = np.zeros((n, n))
     v[data.rows, data.cols] = -slope
     v[data.cols, data.rows] = -slope
-    v[np.diag_indices(n)] = -data.node_pair_sums(slope)
+    v[np.diag_indices(n)] = -slope_sums
     return v
 
 
@@ -93,17 +93,22 @@ def degree_jacobian(data, family, beta, gamma):
     -sum_{j != i} mu'(pi_ij) on it; its negation is diagonally balanced
     with positive entries.
     """
-    family = get_family(family)
-    return _jacobian_from_slopes(data, family.mean_slope(_pair_index(data, beta, gamma)))
+    slope = get_family(family).mean_slope(_pair_index(data, beta, gamma))
+    return _jacobian_from_slopes(data, slope, data.node_pair_sums(slope))
 
 
 def check_interior_degrees(data, family):
     """Raise unless every degree admits a finite degree parameter.
 
-    Binary families need 0 < d_i < n - 1; count families need d_i > 0.
+    Degrees must be finite (weights can sum past the float range); binary
+    families need 0 < d_i < n - 1 and count families d_i > 0.
     """
     family = get_family(family)
     d = data.degrees
+    bad = np.nonzero(~np.isfinite(d))[0]
+    if bad.size:
+        raise DegenerateDegreeError(
+            f"degrees of nodes {bad.tolist()} overflow the float range", nodes=bad)
     if family.support == "binary":
         bad = np.nonzero((d <= 0.0) | (d >= data.n - 1))[0]
     else:
@@ -129,26 +134,29 @@ class _Curvature(NamedTuple):
 
     pi: np.ndarray
     slope: np.ndarray
+    slope_sums: np.ndarray
     solved: np.ndarray
     h: np.ndarray
     scale: float
     solved_f: np.ndarray = None
 
 
-def _curvature(data, z, pi, slope, f=None):
+def _curvature(data, z, pi, slope, slope_sums=None, f=None):
+    slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
     dq_dgamma = -(z * slope[:, None]).T @ z
     df_dgamma = -data.node_pair_sums(z * slope[:, None])
     # one factorization of V serves F's column too when a step needs it
     rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
     try:
-        solved = np.linalg.solve(_jacobian_from_slopes(data, slope), rhs)
+        solved = np.linalg.solve(_jacobian_from_slopes(data, slope, slope_sums), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
     solved_f = None
     if f is not None:
         solved_f, solved = solved[:, 0], solved[:, 1:]
     h = dq_dgamma - df_dgamma.T @ solved
-    return _Curvature(pi, slope, solved, h, float(np.abs(dq_dgamma).max(initial=0.0)), solved_f)
+    scale = float(np.abs(dq_dgamma).max(initial=0.0))
+    return _Curvature(pi, slope, slope_sums, solved, h, scale, solved_f)
 
 
 def _assert_profile_invertible(h, scale):
@@ -173,11 +181,12 @@ def _assert_profile_invertible(h, scale):
 
 
 class _Iterate(NamedTuple):
-    """Parameters, their pair index, and the moment residuals there."""
+    """Parameters, their pair index and mean, and the moment residuals there."""
 
     beta: np.ndarray
     gamma: np.ndarray
     pi: np.ndarray
+    mu: np.ndarray
     f: np.ndarray
     q: np.ndarray
     f_norm: float
@@ -198,18 +207,16 @@ class _MomentSystem:
         self.family = family
         self.z = z
         self.offset = offset
-        self.degrees = data.degrees
-        self.weights = data.pair_weights
         self.label = "joint solver" if z.shape[1] else "degree solver"
 
     def evaluate(self, beta, gamma):
         data = self.data
         pi = beta[data.rows] + beta[data.cols] + self.offset + self.z @ gamma
         mu = self.family.mean(pi)
-        f = self.degrees - data.node_pair_sums(mu)
-        q = self.z.T @ (self.weights - mu)
+        f = data.degrees - data.node_pair_sums(mu)
+        q = self.z.T @ (data.pair_weights - mu)
         f_norm, q_norm = float(np.abs(f).max()), float(np.abs(q).max(initial=0.0))
-        return _Iterate(beta, gamma, pi, f, q, f_norm, q_norm, max(f_norm, q_norm))
+        return _Iterate(beta, gamma, pi, mu, f, q, f_norm, q_norm, max(f_norm, q_norm))
 
     def solve(self, beta, gamma, tol_f, tol_q, max_steps, trace=None):
         """Safeguarded Newton iteration from (beta, gamma).
@@ -234,13 +241,14 @@ class _MomentSystem:
         """One Newton step, halved until the larger residual norm falls."""
         data, merit = self.data, state.merit
         slope = self.family.mean_slope(state.pi)
-        if not np.all(data.node_pair_sums(slope) > 0.0):
+        slope_sums = data.node_pair_sums(slope)
+        if not np.all(slope_sums > 0.0):
             raise NonConvergenceError(
                 f"{self.label} diverged: mean-slope row sums underflowed "
                 f"to zero (last residual {merit:.3e})",
                 residual=merit,
             )
-        curv = _curvature(data, self.z, state.pi, slope, state.f)
+        curv = _curvature(data, self.z, state.pi, slope, slope_sums, state.f)
         if self.z.shape[1]:
             _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
@@ -323,9 +331,7 @@ def profile_jacobian(data, family, beta, gamma):
     return _curvature(data, data.covariates, pi, family.mean_slope(pi)).h
 
 
-def _homophily_bias(data, family, pi, slope):
-    _, m2, _ = family.mean_derivs(pi)
-    slope_sums = data.node_pair_sums(slope)
+def _homophily_bias(data, m2, slope_sums):
     if np.any(slope_sums <= 0.0):
         raise DataError("mean-slope row sums must be strictly positive")
     weighted = data.node_pair_sums(data.covariates * m2[:, None])
@@ -340,9 +346,8 @@ def homophily_bias(data, family, beta, gamma):
     derivatives to summed first derivatives, scaled by 1 / (2 sqrt(N)) with
     N = n (n - 1) ordered pairs.
     """
-    family = get_family(family)
-    pi = _pair_index(data, beta, gamma)
-    return _homophily_bias(data, family, pi, family.mean_slope(pi))
+    m1, m2, _ = get_family(family).mean_derivs(_pair_index(data, beta, gamma))
+    return _homophily_bias(data, m2, data.node_pair_sums(m1))
 
 
 def bias_correct(gamma, profile_hessian, bias, n):
@@ -355,12 +360,12 @@ def bias_correct(gamma, profile_hessian, bias, n):
     return np.asarray(gamma, dtype=float) - np.sqrt(n_ordered) * step
 
 
-def _standard_errors(data, family, curv):
+def _standard_errors(data, family, curv, mu):
     var = family.variance(curv.pi)
-    se_beta = np.sqrt(data.node_pair_sums(var)) / data.node_pair_sums(curv.slope)
+    se_beta = np.sqrt(data.node_pair_sums(var)) / curv.slope_sums
 
     z = data.covariates
-    resid = data.pair_weights - family.mean(curv.pi)
+    resid = data.pair_weights - mu
     # concentrated score per pair: z r - (dQ/dbeta) V^{-1} (r T_ij), where
     # V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
     proj = curv.solved
@@ -385,7 +390,7 @@ def standard_errors(data, family, beta, gamma):
     pi = _pair_index(data, beta, gamma)
     curv = _curvature(data, data.covariates, pi, family.mean_slope(pi))
     _assert_profile_invertible(curv.h, curv.scale)
-    return _standard_errors(data, family, curv)
+    return _standard_errors(data, family, curv, family.mean(pi))
 
 
 def _diagnostics(data, curv):
@@ -439,7 +444,7 @@ def fit(data, family, config=None):
                 f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
                 residual=state.merit,
             )
-        slope = family.mean_slope(state.pi)
+        slope, m2, _ = family.mean_derivs(state.pi)
         if not slope.min() > 0.0:
             # saturated pairs make F and Q vanish in floats away from any root
             zero = np.count_nonzero(slope <= 0.0)
@@ -451,9 +456,9 @@ def fit(data, family, config=None):
             )
         curv = _curvature(data, data.covariates, state.pi, slope)
         _assert_profile_invertible(curv.h, curv.scale)
-        bias = _homophily_bias(data, family, curv.pi, curv.slope)
+        bias = _homophily_bias(data, m2, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)
-        se_beta, se_gamma = _standard_errors(data, family, curv)
+        se_beta, se_gamma = _standard_errors(data, family, curv, state.mu)
     except (NonConvergenceError, SingularDesignError) as exc:
         exc.trace = trace
         raise

@@ -62,7 +62,7 @@ class EdgeFamily:
         raise NotImplementedError
 
     def mean_derivs(self, pi):
-        """First three derivatives of the mean in the index."""
+        """First three derivatives of the mean; the first is ``mean_slope``, bit for bit."""
         raise NotImplementedError
 
     def variance(self, pi):

@@ -6,6 +6,7 @@ triangle, i.e. pair (i, j) with i > j sits at offset i*(i-1)/2 + j.  This is
 the order produced by ``numpy.tril_indices(n, -1)``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,13 @@ class NetworkData:
         One covariate vector per unordered pair, in lower-triangle
         row-major order; p >= 1.
 
-    Immutable after construction: both arrays are copied and marked
-    read-only, so instances are safe for concurrent reads.
+    Stored in pair order; ``adjacency`` is rebuilt on first access.  Every
+    stored array is read-only, so instances are safe for concurrent reads.
     """
 
     def __init__(self, adjacency, covariates):
-        a = np.array(adjacency, dtype=float)
+        # read in place; C order sums each row as a copy would
+        a = np.asarray(adjacency, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"adjacency must be square, got shape {a.shape}")
         n = a.shape[0]
@@ -73,12 +75,22 @@ class NetworkData:
         if not np.all(np.isfinite(z)):
             raise DataError("covariates contain non-finite entries")
 
-        a.setflags(write=False)
-        z.setflags(write=False)
-        self.adjacency = a
-        self.covariates = z
         self.n = n
         self.rows, self.cols = pair_indices(n)
+        self.covariates = z
+        self.pair_weights = a[self.rows, self.cols]
+        with np.errstate(over="ignore"):
+            self.degrees = a.sum(axis=1)
+        for array in (z, self.pair_weights, self.degrees):
+            array.setflags(write=False)
+
+    @functools.cached_property
+    def adjacency(self):
+        """The (n, n) symmetric weight matrix, built from the pair weights."""
+        a = np.zeros((self.n, self.n))
+        a[self.rows, self.cols] = a[self.cols, self.rows] = self.pair_weights
+        a.setflags(write=False)
+        return a
 
     @property
     def n_pairs(self):
@@ -87,16 +99,6 @@ class NetworkData:
     @property
     def n_covariates(self):
         return self.covariates.shape[1]
-
-    @property
-    def pair_weights(self):
-        """Edge weights in pair storage order."""
-        return self.adjacency[self.rows, self.cols]
-
-    @property
-    def degrees(self):
-        """d_i = sum of row i of the adjacency (diagonal is zero)."""
-        return self.adjacency.sum(axis=1)
 
     def node_pair_sums(self, pair_values):
         """Per-node sums over incident pairs of a pair-indexed array.

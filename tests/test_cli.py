@@ -287,6 +287,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert "nodes [0]" in err and "boundary" in err
 
+    @pytest.mark.parametrize("family", ["logistic", "poisson", "probit"])
+    def test_overflowing_degrees_exit_one_naming_node(self, family, tmp_path, capsys):
+        """Finite weights can sum past the float range: one error line names
+        the node, with no numpy warning before it."""
+        edges = tmp_path / "edges.csv"
+        edges.write_text("i,j,weight\n1,0,1.7e308\n2,0,1.7e308\n")
+        covariates = tmp_path / "z.csv"
+        covariates.write_text("i,j,z1\n1,0,0.5\n2,0,-0.5\n2,1,1.0\n")
+        code = main(["fit", "--family", family, "--edges", str(edges),
+                     "--pair-covariates", str(covariates)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "nodes [0]" in err and "overflow" in err
+
     def test_non_convergence_exits_two_with_trace(self, noisy_files, tmp_path, capsys):
         edges, covariates = noisy_files
         out = tmp_path / "fail.json"

@@ -43,7 +43,7 @@ from netmoment.estimation import (
     standard_errors,
 )
 from netmoment import estimation, network
-from netmoment.families import get_family, initial_degree_params
+from netmoment.families import LogisticFamily, get_family, initial_degree_params
 from netmoment.network import NetworkData, check_diagonally_balanced, pair_indices, pair_offset
 from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
@@ -348,6 +348,19 @@ class TestFit:
         with pytest.raises(DegenerateDegreeError):
             fit(data, "logistic")
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_overflowing_degrees_rejected(self, name):
+        """Finite weights whose degree sum overflows name the node, not a
+        boundary or a non-finite index."""
+        a = np.zeros((3, 3))
+        a[1, 0] = a[0, 1] = a[2, 0] = a[0, 2] = 1.7e308
+        data = NetworkData(a, np.zeros((3, 1)))
+        with pytest.raises(DegenerateDegreeError, match="overflow") as excinfo:
+            fit(data, name)
+        assert excinfo.value.nodes == [0]
+        with pytest.raises(DegenerateDegreeError, match="overflow"):
+            solve_degree_params(data, name, np.zeros(1))
+
     def test_outer_cap_raises_with_trace(self):
         data, _, _ = build_instance("logistic", 10, 2, seed=191)
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -494,9 +507,9 @@ class TestCurvaturePass:
         builds, solves = [], []
         assemble, solve = estimation._jacobian_from_slopes, np.linalg.solve
 
-        def counting_assemble(data, slope):
+        def counting_assemble(data, slope, slope_sums):
             builds.append(1)
-            return assemble(data, slope)
+            return assemble(data, slope, slope_sums)
 
         def counting_solve(a, b):
             if np.shape(a) == (data.n, data.n):
@@ -513,6 +526,38 @@ class TestCurvaturePass:
         result = fit(data, "logistic")
         assert result.iterations > 1
         assert len(builds) == len(solves) == result.iterations
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_pair_sums_per_step_evaluation_and_root(self, name, monkeypatch):
+        """A Newton step sums its slopes and dF/dgamma, a residual evaluation
+        its means, and the converged iterate dF/dgamma, its slopes, the bias
+        numerators and the variances: each once."""
+        data, _, _ = build_instance(name, 12, 2, seed=211)
+        evaluations = _count_calls(monkeypatch, estimation._MomentSystem, "evaluate")
+        pair_sums = _count_calls(monkeypatch, NetworkData, "node_pair_sums")
+        result = fit(data, name)
+        assert result.iterations > 1
+        assert len(pair_sums) == 2 * (result.iterations - 1) + len(evaluations) + 4
+
+    def test_logistic_mean_once_per_evaluation(self, monkeypatch):
+        data, _, _ = build_instance("logistic", 12, 2, seed=211)
+        evaluations = _count_calls(monkeypatch, estimation._MomentSystem, "evaluate")
+        means = _count_calls(monkeypatch, LogisticFamily, "mean")
+        fit(data, "logistic")
+        assert len(means) == len(evaluations) > 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap a method of ``owner`` so each call appends to the returned list."""
+    calls, method = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
 
 class TestHomophilyBias:
     def test_logistic_zero_index_gives_zero(self):

@@ -70,6 +70,22 @@ class TestNetworkDataValidation:
             data.adjacency[0, 1] = 9.0
         with pytest.raises(ValueError):
             data.covariates[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            data.pair_weights[0] = 9.0
+        with pytest.raises(ValueError):
+            data.degrees[0] = 9.0
+
+    def test_adjacency_built_on_first_read(self):
+        rows, cols = pair_indices(6)
+        a = np.zeros((6, 6))
+        a[rows, cols] = a[cols, rows] = np.arange(1.0, rows.size + 1)
+        data = NetworkData(a, np.zeros((rows.size, 1)))
+        assert all(np.ndim(v) < 2 or v.shape[0] != v.shape[1] for v in vars(data).values())
+        a[1, 0] = a[0, 1] = -1.0  # the input is not kept
+        assert data.pair_weights[0] == 1.0
+        assert data.adjacency[1, 0] == data.adjacency[0, 1] == 1.0
+        assert data.adjacency is data.adjacency
+        assert np.array_equal(data.adjacency.sum(axis=1), data.degrees)
 
     def test_one_dimensional_covariates_get_a_column(self):
         data = NetworkData(np.zeros((3, 3)), np.arange(3.0))
@@ -85,6 +101,13 @@ class TestDegrees:
         a = np.ones((4, 4)) - np.eye(4)
         data = NetworkData(a, np.zeros((6, 1)))
         assert_allclose(data.degrees, np.full(4, 3.0))
+
+    def test_overflowing_sum_is_infinite(self):
+        # accepted without a RuntimeWarning; fitting rejects such degrees
+        a = np.zeros((3, 3))
+        a[1, 0] = a[0, 1] = a[2, 0] = a[0, 2] = 1.7e308
+        data = NetworkData(a, np.zeros((3, 1)))
+        assert data.degrees.tolist() == [np.inf, 1.7e308, 1.7e308]
 
     def test_random_weighted_matches_double_loop(self):
         data = _random_network(8, 1, 3)
