@@ -10,6 +10,9 @@ the covariate residuals, and the degree step by back-substitution.  The degree
 equations alone, at fixed coefficients, are solved by the same iteration.
 H at the root doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
+
+A fit allocates V once: each iterate, and the converged one, rewrites every
+entry of that (n, n) buffer from its pair slopes and their node sums.
 """
 
 from dataclasses import dataclass, field
@@ -76,13 +79,15 @@ def _pair_index(data, beta, gamma):
     return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
 
 
-def _jacobian_from_slopes(data, slope, slope_sums):
-    """Dense degree Jacobian assembled from the per-pair mean slopes and their node sums."""
-    n = data.n
-    v = np.zeros((n, n))
-    v[data.rows, data.cols] = -slope
-    v[data.cols, data.rows] = -slope
-    v[np.diag_indices(n)] = -slope_sums
+def _jacobian_from_slopes(data, slope, slope_sums, v=None):
+    """Dense degree Jacobian from the per-pair mean slopes and their node sums, written
+    into every entry of ``v`` (a new (n, n) array when None), one row block at a time."""
+    v = np.empty((data.n, data.n)) if v is None else v
+    neg, start = -slope, 0
+    for i in range(1, data.n):
+        v[i, :i] = v[:i, i] = neg[start:start + i]
+        start += i
+    np.negative(slope_sums, out=v.reshape(-1)[::data.n + 1])
     return v
 
 
@@ -141,14 +146,16 @@ class _Curvature(NamedTuple):
     solved_f: np.ndarray = None
 
 
-def _curvature(data, z, pi, slope, slope_sums=None, f=None):
+def _curvature(data, z, pi, slope, slope_sums=None, f=None, v=None):
     slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
-    dq_dgamma = -(z * slope[:, None]).T @ z
-    df_dgamma = -data.node_pair_sums(z * slope[:, None])
+    zs = z.T * slope  # (p, n_pairs), one contiguous row per column of z
+    dq_dgamma = -(zs @ z)
+    df_dgamma = -data.node_pair_sums(zs.T)
+    del zs
     # one factorization of V serves F's column too when a step needs it
     rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
     try:
-        solved = np.linalg.solve(_jacobian_from_slopes(data, slope, slope_sums), rhs)
+        solved = np.linalg.solve(_jacobian_from_slopes(data, slope, slope_sums, v), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
     solved_f = None
@@ -199,7 +206,7 @@ class _MomentSystem:
 
     gamma are the coefficients on the pair covariate columns ``z``; the part
     of the index held fixed is ``offset``.  With no columns, Q is empty and
-    the system is the degree equations alone.
+    the system is the degree equations alone.  Its curvatures share the V buffer ``v``.
     """
 
     def __init__(self, data, family, z, offset):
@@ -208,6 +215,7 @@ class _MomentSystem:
         self.z = z
         self.offset = offset
         self.label = "joint solver" if z.shape[1] else "degree solver"
+        self.v = np.empty((data.n, data.n))
 
     def evaluate(self, beta, gamma):
         data = self.data
@@ -239,8 +247,9 @@ class _MomentSystem:
 
     def _step(self, state):
         """One Newton step, halved until the larger residual norm falls."""
-        data, merit = self.data, state.merit
-        slope = self.family.mean_slope(state.pi)
+        data, family, merit = self.data, self.family, state.merit
+        slope = (family._variance_from_mean(state.mu) if family._slope_is_variance  # mean in hand
+                 else family.mean_slope(state.pi))
         slope_sums = data.node_pair_sums(slope)
         if not np.all(slope_sums > 0.0):
             raise NonConvergenceError(
@@ -248,7 +257,7 @@ class _MomentSystem:
                 f"to zero (last residual {merit:.3e})",
                 residual=merit,
             )
-        curv = _curvature(data, self.z, state.pi, slope, slope_sums, state.f)
+        curv = _curvature(data, self.z, state.pi, slope, slope_sums, state.f, self.v)
         if self.z.shape[1]:
             _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
@@ -298,6 +307,8 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     residual checks, one more than the Newton steps taken.  Raises
     ``NonConvergenceError`` when the slope sums underflow, a step is not
     finite, no halving of a step lowers the residual, or the cap is reached.
+    Starts far below the root stall ("degree solver stalled"): from a Poisson
+    ``beta_init`` of about -40 or less, F moves by less than its own rounding.
     """
     family = get_family(family)
     config = config or SolverConfig()
@@ -334,7 +345,7 @@ def profile_jacobian(data, family, beta, gamma):
 def _homophily_bias(data, m2, slope_sums):
     if np.any(slope_sums <= 0.0):
         raise DataError("mean-slope row sums must be strictly positive")
-    weighted = data.node_pair_sums(data.covariates * m2[:, None])
+    weighted = data.node_pair_sums((data.covariates.T * m2).T)
     n_ordered = data.n * (data.n - 1)
     return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
 
@@ -361,16 +372,15 @@ def bias_correct(gamma, profile_hessian, bias, n):
 
 
 def _standard_errors(data, family, curv, mu):
-    var = family.variance(curv.pi)
+    var = family._variance_from_mean(mu)
     se_beta = np.sqrt(data.node_pair_sums(var)) / curv.slope_sums
 
-    z = data.covariates
-    resid = data.pair_weights - mu
-    # concentrated score per pair: z r - (dQ/dbeta) V^{-1} (r T_ij), where
-    # V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
-    proj = curv.solved
-    score = z * resid[:, None] - resid[:, None] * (proj[data.rows] + proj[data.cols])
-    omega_sum = score.T @ score
+    # concentrated score per pair, one row per coefficient: r (z - (dQ/dbeta) V^{-1} T_ij),
+    # where V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
+    proj = np.ascontiguousarray(curv.solved.T)
+    score = data.covariates.T - proj.take(data.rows, axis=1) - proj.take(data.cols, axis=1)
+    score *= data.pair_weights - mu
+    omega_sum = score @ score.T
     try:
         cov_gamma = np.linalg.solve(curv.h, np.linalg.solve(curv.h, omega_sum).T)
     except np.linalg.LinAlgError as exc:
@@ -454,7 +464,7 @@ def fit(data, family, config=None):
                 f"(last residual {state.merit:.3e})",
                 residual=state.merit,
             )
-        curv = _curvature(data, data.covariates, state.pi, slope)
+        curv = _curvature(data, data.covariates, state.pi, slope, v=system.v)
         _assert_profile_invertible(curv.h, curv.scale)
         bias = _homophily_bias(data, m2, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)

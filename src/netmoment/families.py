@@ -40,6 +40,13 @@ def _logistic(pi):
         return 1.0 / (1.0 + np.exp(-pi))
 
 
+def _poisson_mean(pi):
+    pi = _as_finite_array(pi)
+    if pi.size and pi.max() > _LOG_MAX:
+        raise DataError(f"Poisson index {float(pi.max())!r} is too large: exp overflows")
+    return np.exp(pi)
+
+
 def _special():
     # imported here, not at module level: see the module docstring
     import scipy.special
@@ -52,6 +59,7 @@ class EdgeFamily:
 
     name = None
     support = None  # "binary" or "count"
+    _slope_is_variance = False  # canonical link: mean_slope(pi) == variance(pi), bit for bit
 
     def mean(self, pi):
         """Expected edge weight at index ``pi``."""
@@ -68,6 +76,10 @@ class EdgeFamily:
     def variance(self, pi):
         """Variance of the edge weight at index ``pi``."""
         raise NotImplementedError
+
+    def _variance_from_mean(self, mu):
+        # mu (1 - mu) for binary edges, mu for counts; the mean slope too where _slope_is_variance
+        return mu * (1.0 - mu) if self.support == "binary" else mu
 
     def sample(self, pi, rng):
         """Draw edge weights with the family's marginal at ``pi``."""
@@ -89,6 +101,7 @@ class LogisticFamily(EdgeFamily):
 
     name = "logistic"
     support = "binary"
+    _slope_is_variance = True
 
     def mean(self, pi):
         return _logistic(_as_finite_array(pi))
@@ -117,18 +130,16 @@ class PoissonFamily(EdgeFamily):
 
     name = "poisson"
     support = "count"
+    _slope_is_variance = True
 
     def mean(self, pi):
-        pi = _as_finite_array(pi)
-        if pi.size and pi.max() > _LOG_MAX:
-            raise DataError(f"Poisson index {float(pi.max())!r} is too large: exp overflows")
-        return np.exp(pi)
+        return _poisson_mean(pi)
 
     def mean_slope(self, pi):
-        return self.mean(pi)
+        return _poisson_mean(pi)
 
     def mean_derivs(self, pi):
-        m = self.mean(pi)
+        m = _poisson_mean(pi)
         return m, m.copy(), m.copy()
 
     def variance(self, pi):
@@ -170,8 +181,7 @@ class ProbitFamily(EdgeFamily):
         return pdf, -pi * pdf, (pi * pi - 1.0) * pdf
 
     def variance(self, pi):
-        mu = self.mean(pi)
-        return mu * (1.0 - mu)
+        return self._variance_from_mean(self.mean(pi))
 
     def sample(self, pi, rng):
         p = self.mean(pi)

@@ -3,7 +3,9 @@
 Pair-indexed storage: quantities attached to unordered node pairs live in
 flat arrays of length n*(n-1)/2, ordered row-major over the strict lower
 triangle, i.e. pair (i, j) with i > j sits at offset i*(i-1)/2 + j.  This is
-the order produced by ``numpy.tril_indices(n, -1)``.
+the order produced by ``numpy.tril_indices(n, -1)``, so row i's pairs form one
+contiguous block.  Pair covariates are stored column-major: each covariate is
+one contiguous run of n*(n-1)/2 values.
 """
 
 import functools
@@ -45,7 +47,9 @@ class NetworkData:
         One covariate vector per unordered pair, in lower-triangle
         row-major order; p >= 1.
 
-    Stored in pair order; ``adjacency`` is rebuilt on first access.  Every
+    Stored in pair order; ``adjacency`` is rebuilt on first access.  The
+    covariates are copied once in column-major (Fortran) order: ``covariates``
+    is (n_pairs, p) and its transpose a contiguous (p, n_pairs) block.  Every
     stored array is read-only, so instances are safe for concurrent reads.
     """
 
@@ -65,7 +69,7 @@ class NetworkData:
         if not np.array_equal(a, a.T):
             raise DataError("adjacency must be exactly symmetric")
 
-        z = np.array(covariates, dtype=float)
+        z = np.array(covariates, dtype=float, order="F")
         if z.ndim == 1:
             z = z[:, None]
         if z.ndim != 2 or z.shape[0] != pair_count(n) or z.shape[1] < 1:
@@ -77,6 +81,7 @@ class NetworkData:
 
         self.n = n
         self.rows, self.cols = pair_indices(n)
+        self._row_starts = pair_count(np.arange(1, n))  # starts of rows 1..n-1; row 0 has none
         self.covariates = z
         self.pair_weights = a[self.rows, self.cols]
         with np.errstate(over="ignore"):
@@ -106,13 +111,12 @@ class NetworkData:
         For values x indexed by unordered pairs, returns the vector with
         entries sum_{j != i} x_ij.  Accepts shape (n_pairs,) or (n_pairs, k).
         """
-        x = np.asarray(pair_values)
+        x = np.asarray(pair_values, dtype=float)
         columns = x.reshape(len(x), -1)
-        out = np.empty((self.n, columns.shape[1]))
+        out = np.zeros((self.n, columns.shape[1]))
+        out[1:] = np.add.reduceat(columns, self._row_starts, axis=0)  # each row's block of pairs
         for k in range(columns.shape[1]):
-            out[:, k] = np.bincount(
-                self.rows, weights=columns[:, k], minlength=self.n
-            ) + np.bincount(self.cols, weights=columns[:, k], minlength=self.n)
+            out[:, k] += np.bincount(self.cols, weights=columns[:, k], minlength=self.n)
         return out.reshape((self.n,) + x.shape[1:])
 
 

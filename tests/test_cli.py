@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import entry_points
@@ -589,3 +590,26 @@ def test_scipy_loads_only_for_probit(tmp_path):
     proc = subprocess.run([sys.executable, "-c", START_UP_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("family", ["logistic", "poisson"])
+def test_cli_processes_load_no_scipy(tmp_path, family):
+    """``netmoment simulate`` and then ``netmoment fit``, each its own process
+    as a user runs them, import no scipy module: the fit path of these
+    families needs none, not even lazily."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    prefix = str(tmp_path / "net")
+    for argv in (
+        ["simulate", "--family", family, "--n", "16", "--gamma-star", "0.4", "--seed", "11",
+         "--out", prefix],
+        ["fit", "--family", family, "--edges", prefix + "_edges.csv", "--pair-covariates",
+         prefix + "_covariates.csv", "--out", prefix + "_fit.json"],
+    ):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "netmoment.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "import time:" in proc.stderr
+        loaded = re.findall(r"\|\s+(scipy(?:\.\S*)?)\s*$", proc.stderr, flags=re.MULTILINE)
+        assert loaded == [], (argv[0], loaded)
+    assert json.loads(Path(prefix + "_fit.json").read_text())["converged"]

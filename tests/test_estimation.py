@@ -1,5 +1,11 @@
 """Moment residuals, solvers, profile Jacobian, bias, and standard errors."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +49,14 @@ from netmoment.estimation import (
     standard_errors,
 )
 from netmoment import estimation, network
-from netmoment.families import LogisticFamily, get_family, initial_degree_params
+from netmoment.dataio import fit_result_to_dict
+from netmoment.families import (
+    LogisticFamily,
+    PoissonFamily,
+    _special,
+    get_family,
+    initial_degree_params,
+)
 from netmoment.network import NetworkData, check_diagonally_balanced, pair_indices, pair_offset
 from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
@@ -507,9 +520,9 @@ class TestCurvaturePass:
         builds, solves = [], []
         assemble, solve = estimation._jacobian_from_slopes, np.linalg.solve
 
-        def counting_assemble(data, slope, slope_sums):
+        def counting_assemble(data, slope, slope_sums, v):
             builds.append(1)
-            return assemble(data, slope, slope_sums)
+            return assemble(data, slope, slope_sums, v)
 
         def counting_solve(a, b):
             if np.shape(a) == (data.n, data.n):
@@ -539,12 +552,117 @@ class TestCurvaturePass:
         assert result.iterations > 1
         assert len(pair_sums) == 2 * (result.iterations - 1) + len(evaluations) + 4
 
-    def test_logistic_mean_once_per_evaluation(self, monkeypatch):
-        data, _, _ = build_instance("logistic", 12, 2, seed=211)
+    @pytest.mark.parametrize("family_class", [LogisticFamily, PoissonFamily])
+    def test_canonical_link_mean_once_per_evaluation(self, family_class, monkeypatch):
+        """With the canonical link a step takes its slopes, and the root its
+        variances, from the mean the residual evaluation computed."""
+        data, _, _ = build_instance(family_class.name, 12, 2, seed=211)
         evaluations = _count_calls(monkeypatch, estimation._MomentSystem, "evaluate")
-        means = _count_calls(monkeypatch, LogisticFamily, "mean")
-        fit(data, "logistic")
-        assert len(means) == len(evaluations) > 1
+        means = _count_calls(monkeypatch, family_class, "mean")
+        slopes = _count_calls(monkeypatch, family_class, "mean_slope")
+        result = fit(data, family_class.name)
+        assert result.iterations > 1
+        assert len(means) == len(evaluations)
+        assert slopes == []
+
+    def test_probit_cdf_only_in_evaluations(self, monkeypatch):
+        """The probit variances at the root reuse the evaluated mean."""
+        data, _, _ = build_instance("probit", 12, 2, seed=211)
+        special = _special()
+        ndtr, evaluate = special.ndtr, estimation._MomentSystem.evaluate
+        evaluations, inside, outside = [], [], []
+
+        def counting_ndtr(x):
+            # each evaluation may make one call; any further call is outside one
+            (inside if len(evaluations) > len(inside) else outside).append(1)
+            return ndtr(x)
+
+        def counting_evaluate(self, beta, gamma):
+            evaluations.append(1)
+            return evaluate(self, beta, gamma)
+
+        monkeypatch.setattr(special, "ndtr", counting_ndtr)
+        monkeypatch.setattr(estimation._MomentSystem, "evaluate", counting_evaluate)
+        result = fit(data, "probit")
+        assert result.iterations > 1
+        assert outside == []
+        assert len(inside) == len(evaluations)
+
+
+class TestJacobianBuffer:
+    """A fit writes every iterate's degree Jacobian into one (n, n) buffer."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_every_entry_rewritten(self, name):
+        data, beta, gamma = build_instance(name, 9, 2, seed=251)
+        family = get_family(name)
+        system = estimation._MomentSystem(data, family, data.covariates, 0.0)
+        system.v.fill(np.nan)
+        slope = family.mean_slope(estimation._pair_index(data, beta, gamma))
+        v = estimation._jacobian_from_slopes(data, slope, data.node_pair_sums(slope), system.v)
+        assert v is system.v
+        assert np.array_equal(v, degree_jacobian(data, family, beta, gamma))
+        # against a build by pair offsets
+        expected = np.zeros((9, 9))
+        for i in range(9):
+            for j in range(9):
+                if i != j:
+                    expected[i, j] = -slope[pair_offset(i, j)]
+            expected[i, i] = expected[i].sum()
+        assert_allclose(v, expected, rtol=1e-14)
+
+    def test_stale_entries_never_read(self, monkeypatch):
+        """Poisoning the buffer before each assembly leaves the fit unchanged."""
+        data, _, _ = build_instance("logistic", 12, 2, seed=261)
+        clean = fit(data, "logistic")
+        assemble, buffers = estimation._jacobian_from_slopes, set()
+
+        def poisoning_assemble(data, slope, slope_sums, v):
+            buffers.add(id(v))
+            v.fill(np.nan)
+            return assemble(data, slope, slope_sums, v)
+
+        monkeypatch.setattr(estimation, "_jacobian_from_slopes", poisoning_assemble)
+        poisoned = fit(data, "logistic")
+        assert len(buffers) == 1
+        assert json.dumps(fit_result_to_dict(poisoned)) == json.dumps(fit_result_to_dict(clean))
+
+    def test_interleaved_fits_equal_fits_alone(self):
+        """Two networks of different size and family fitted in one process give
+        the bytes each gives fitted alone in a fresh interpreter."""
+        cases = [("logistic", 24, 501), ("poisson", 17, 502)]
+        in_process = [json.dumps(fit_result_to_dict(fit(_gen_network(*case), case[0])))
+                      for case in cases]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for case, got in zip(cases, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-c", FIT_ALONE_SCRIPT, *map(str, case)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == got
+
+
+def _gen_network(family, n, seed):
+    spec = GenSpec(n=n, family=family, gamma_star=(0.5, -0.5), beta_range=0.5,
+                   covariates=CovariateRule(kind="iid_pm1", p=2), seed=seed)
+    return generate_with_truth(spec).data
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Fits one network in a fresh interpreter and prints the result's JSON.
+FIT_ALONE_SCRIPT = """
+import json, sys
+from netmoment import fit
+from netmoment.dataio import fit_result_to_dict
+from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
+family, n, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+spec = GenSpec(n=n, family=family, gamma_star=(0.5, -0.5), beta_range=0.5,
+               covariates=CovariateRule(kind="iid_pm1", p=2), seed=seed)
+print(json.dumps(fit_result_to_dict(fit(generate_with_truth(spec).data, family))))
+"""
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -119,28 +119,72 @@ class TestDegrees:
         assert_allclose(data.degrees, expected, rtol=1e-15)
 
 
+def _pair_sums_loop(n, values):
+    values = np.asarray(values, dtype=float)
+    expected = np.zeros((n,) + values.shape[1:])
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                expected[i] += values[pair_offset(i, j)]
+    return expected
+
+
 class TestNodePairSums:
+    """Row i's pairs are summed as one block starting at i(i-1)/2; the sums
+    must not depend on how the values are laid out in memory."""
+
     def test_matches_double_loop_1d(self):
         data = _random_network(9, 1, 4)
         values = np.random.default_rng(5).normal(size=data.n_pairs)
-        got = data.node_pair_sums(values)
-        expected = np.zeros(9)
-        for i in range(9):
-            for j in range(9):
-                if i != j:
-                    expected[i] += values[pair_offset(i, j)]
-        assert_allclose(got, expected, rtol=1e-12)
+        assert_allclose(data.node_pair_sums(values), _pair_sums_loop(9, values), rtol=1e-12)
 
     def test_matches_double_loop_2d(self):
         data = _random_network(6, 3, 6)
         values = np.random.default_rng(7).normal(size=(data.n_pairs, 3))
+        assert_allclose(data.node_pair_sums(values), _pair_sums_loop(6, values), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_smallest_networks_either_order(self, n, order):
+        data = _random_network(n, 1, 8)
+        values = np.asarray(np.random.default_rng(9).normal(size=(data.n_pairs, 3)), order=order)
+        assert_allclose(data.node_pair_sums(values), _pair_sums_loop(n, values), rtol=1e-12)
+        assert_allclose(data.node_pair_sums(values[:, 1]), _pair_sums_loop(n, values[:, 1]),
+                        rtol=1e-12)
+
+    def test_non_contiguous_column_slice(self):
+        data = _random_network(6, 1, 11)
+        values = np.random.default_rng(12).normal(size=(data.n_pairs, 5))[:, 1::2]
+        assert not values.flags.c_contiguous and not values.flags.f_contiguous
+        assert_allclose(data.node_pair_sums(values), _pair_sums_loop(6, values), rtol=1e-12)
+
+    def test_integer_input(self):
+        data = _random_network(5, 1, 13)
+        values = np.arange(data.n_pairs * 2).reshape(-1, 2)
         got = data.node_pair_sums(values)
-        expected = np.zeros((6, 3))
-        for i in range(6):
-            for j in range(6):
-                if i != j:
-                    expected[i] += values[pair_offset(i, j)]
-        assert_allclose(got, expected, rtol=1e-12)
+        assert got.dtype == float
+        assert np.array_equal(got, _pair_sums_loop(5, values))
+
+
+class TestCovariateStorage:
+    def test_column_major_copy_of_the_input(self):
+        rows, _ = pair_indices(6)
+        z = np.random.default_rng(14).normal(size=(rows.size, 3))
+        data = NetworkData(np.zeros((6, 6)), z)
+        assert data.covariates.shape == z.shape
+        assert np.array_equal(data.covariates, z)
+        assert data.covariates.T.flags.c_contiguous
+        assert not data.covariates.flags.writeable
+        assert not np.shares_memory(data.covariates, z)
+        z[0, 0] = 99.0  # the caller's array is not kept
+        assert data.covariates[0, 0] != 99.0
+
+    def test_fortran_input_is_copied_too(self):
+        z = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+        data = NetworkData(np.zeros((4, 4)), z)
+        assert np.array_equal(data.covariates, z)
+        assert not np.shares_memory(data.covariates, z)
+        assert z.flags.writeable
 
 
 class TestCovariateMagnitude:
