@@ -20,14 +20,9 @@ Run it from the repository root:
 
 import numpy as np
 
-from netmoment import (
-    CovariateRule,
-    GenSpec,
-    check_diagonally_balanced,
-    degree_jacobian,
-    generate_with_truth,
-    pair_indices,
-)
+from netmoment import CovariateRule, GenSpec, generate_with_truth, pair_indices
+from netmoment.estimation import degree_jacobian
+from netmoment.network import check_diagonally_balanced
 
 
 def random_balanced_matrix(n, low, high, rng):

@@ -14,22 +14,12 @@ from .errors import (
     NonConvergenceError,
     SingularDesignError,
 )
-from .families import EdgeFamily, LogisticFamily, PoissonFamily, ProbitFamily, get_family
-from .network import (
-    NetworkData,
-    check_diagonally_balanced,
-    covariate_magnitude,
-    pair_count,
-    pair_indices,
-    pair_offset,
-)
+from .families import EdgeFamily, get_family
+from .network import NetworkData, pair_count, pair_indices, pair_offset
 from .estimation import (
     FitResult,
     SolverConfig,
     bias_correct,
-    covariate_residuals,
-    degree_jacobian,
-    degree_residuals,
     fit,
     homophily_bias,
     profile_jacobian,
@@ -63,22 +53,14 @@ __all__ = [
     "EdgeFamily",
     "FitResult",
     "GenSpec",
-    "LogisticFamily",
     "McStudyReport",
     "NetmomentError",
     "NetworkData",
     "NonConvergenceError",
-    "PoissonFamily",
-    "ProbitFamily",
     "SingularDesignError",
     "SolverConfig",
     "SyntheticNetwork",
     "bias_correct",
-    "check_diagonally_balanced",
-    "covariate_magnitude",
-    "covariate_residuals",
-    "degree_jacobian",
-    "degree_residuals",
     "derive_pair_covariates",
     "fit",
     "generate_with_truth",

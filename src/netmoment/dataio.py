@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimation import SolverConfig
-from .network import pair_count, pair_indices, pair_offset
+from .network import pair_count, pair_indices, pair_offset, symmetric_from_pairs
 from .simulation import CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
@@ -174,10 +174,9 @@ def read_edges(path, n):
         i, j = ids.T
         _check(path, i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
         _check(path, (i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
-        _check_pairs(path, i, j)
-        adjacency = np.zeros((n, n))
-        adjacency[i, j] = adjacency[j, i] = weights[:, 0]
-        return adjacency
+        pair_weights = np.zeros(pair_count(n))
+        pair_weights[_check_pairs(path, i, j)] = weights[:, 0]
+        return symmetric_from_pairs(n, pair_weights)
 
     return _read_table(path, build, _edge_header)
 

@@ -15,6 +15,7 @@ A fit allocates V once: each iterate, and the converged one, rewrites every
 entry of that (n, n) buffer from its pair slopes and their node sums.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,9 +23,10 @@ import numpy as np
 
 from .errors import DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError
 from .families import get_family, initial_degree_params
+from .network import covariate_magnitude, symmetric_from_pairs
 # check_diagonally_balanced stays importable from this module, where
 # bench/test_bench.py looks it up; fit reads m_n and M_n off the slopes.
-from .network import check_diagonally_balanced, covariate_magnitude  # noqa: F401
+from .network import check_diagonally_balanced  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class SolverConfig:
     """Tolerances and the iteration cap for the Newton solver.
 
     ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate
-    residuals and must be finite and positive; ``max_outer`` caps the
-    iterates of ``fit`` and of ``solve_degree_params``.
+    residuals and must be finite and positive; ``max_outer``, an integer of
+    at least 1, caps the iterates of ``fit`` and of ``solve_degree_params``.
     """
 
     tol_f: float = 1e-8
@@ -43,8 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.tol_f < np.inf and 0 < self.tol_q < np.inf):
             raise DataError("tolerances must be finite and positive")
-        if self.max_outer < 1:
-            raise DataError("max_outer must be at least 1")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+            raise DataError(f"max_outer must be an integer of at least 1, got {self.max_outer!r}")
 
 
 @dataclass
@@ -79,18 +81,6 @@ def _pair_index(data, beta, gamma):
     return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
 
 
-def _jacobian_from_slopes(data, slope, slope_sums, v=None):
-    """Dense degree Jacobian from the per-pair mean slopes and their node sums, written
-    into every entry of ``v`` (a new (n, n) array when None), one row block at a time."""
-    v = np.empty((data.n, data.n)) if v is None else v
-    neg, start = -slope, 0
-    for i in range(1, data.n):
-        v[i, :i] = v[:i, i] = neg[start:start + i]
-        start += i
-    np.negative(slope_sums, out=v.reshape(-1)[::data.n + 1])
-    return v
-
-
 def degree_jacobian(data, family, beta, gamma):
     """Jacobian of the degree residuals in the degree parameters.
 
@@ -99,7 +89,7 @@ def degree_jacobian(data, family, beta, gamma):
     with positive entries.
     """
     slope = get_family(family).mean_slope(_pair_index(data, beta, gamma))
-    return _jacobian_from_slopes(data, slope, data.node_pair_sums(slope))
+    return symmetric_from_pairs(data.n, -slope, -data.node_pair_sums(slope))
 
 
 def check_interior_degrees(data, family):
@@ -137,7 +127,6 @@ class _Curvature(NamedTuple):
     ``solved_f`` is V^{-1} F when the degree residuals F were given.
     """
 
-    pi: np.ndarray
     slope: np.ndarray
     slope_sums: np.ndarray
     solved: np.ndarray
@@ -146,7 +135,7 @@ class _Curvature(NamedTuple):
     solved_f: np.ndarray = None
 
 
-def _curvature(data, z, pi, slope, slope_sums=None, f=None, v=None):
+def _curvature(data, z, slope, slope_sums=None, f=None, v=None):
     slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
     zs = z.T * slope  # (p, n_pairs), one contiguous row per column of z
     dq_dgamma = -(zs @ z)
@@ -154,8 +143,9 @@ def _curvature(data, z, pi, slope, slope_sums=None, f=None, v=None):
     del zs
     # one factorization of V serves F's column too when a step needs it
     rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
+    v = symmetric_from_pairs(data.n, -slope, -slope_sums, v)
     try:
-        solved = np.linalg.solve(_jacobian_from_slopes(data, slope, slope_sums, v), rhs)
+        solved = np.linalg.solve(v, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
     solved_f = None
@@ -163,7 +153,7 @@ def _curvature(data, z, pi, slope, slope_sums=None, f=None, v=None):
         solved_f, solved = solved[:, 0], solved[:, 1:]
     h = dq_dgamma - df_dgamma.T @ solved
     scale = float(np.abs(dq_dgamma).max(initial=0.0))
-    return _Curvature(pi, slope, slope_sums, solved, h, scale, solved_f)
+    return _Curvature(slope, slope_sums, solved, h, scale, solved_f)
 
 
 def _assert_profile_invertible(h, scale):
@@ -205,16 +195,17 @@ class _MomentSystem:
     """The equations F = 0 and Q = 0 in (beta, gamma).
 
     gamma are the coefficients on the pair covariate columns ``z``; the part
-    of the index held fixed is ``offset``.  With no columns, Q is empty and
-    the system is the degree equations alone.  Its curvatures share the V buffer ``v``.
+    of the index held fixed is ``offset``; by default all the network's
+    covariates with no offset.  With no columns, Q is empty and the system is
+    the degree equations alone.  Its curvatures share the V buffer ``v``.
     """
 
-    def __init__(self, data, family, z, offset):
+    def __init__(self, data, family, z=None, offset=0.0):
         self.data = data
         self.family = family
-        self.z = z
+        self.z = data.covariates if z is None else z
         self.offset = offset
-        self.label = "joint solver" if z.shape[1] else "degree solver"
+        self.label = "joint solver" if self.z.shape[1] else "degree solver"
         self.v = np.empty((data.n, data.n))
 
     def evaluate(self, beta, gamma):
@@ -230,9 +221,9 @@ class _MomentSystem:
         """Safeguarded Newton iteration from (beta, gamma).
 
         Returns the first iterate with ||F||_inf <= tol_f and
-        ||Q||_inf <= tol_q, or the last when ``max_steps`` iterates are
-        evaluated first, together with the number of iterates.  Each iterate
-        gets one entry in ``trace`` when a list is given.
+        ||Q||_inf <= tol_q together with the number of iterates, and raises
+        ``NonConvergenceError`` when ``max_steps`` iterates are evaluated
+        first.  Each iterate gets one entry in ``trace`` when a list is given.
         """
         state = self.evaluate(beta, gamma)
         halvings = 0
@@ -241,8 +232,14 @@ class _MomentSystem:
                 trace.append({"outer": it, "residual_degree": state.f_norm,
                               "residual_covariate": state.q_norm,
                               "gamma": state.gamma.tolist(), "halvings": halvings})
-            if (state.f_norm <= tol_f and state.q_norm <= tol_q) or it == max_steps:
+            if state.f_norm <= tol_f and state.q_norm <= tol_q:
                 return state, it
+            if it == max_steps:
+                raise NonConvergenceError(
+                    f"{self.label} did not reach the tolerances within {max_steps} iterations "
+                    f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
+                    residual=state.merit,
+                )
             state, halvings = self._step(state)
 
     def _step(self, state):
@@ -257,7 +254,7 @@ class _MomentSystem:
                 f"to zero (last residual {merit:.3e})",
                 residual=merit,
             )
-        curv = _curvature(data, self.z, state.pi, slope, slope_sums, state.f, self.v)
+        curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v)
         if self.z.shape[1]:
             _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
@@ -287,12 +284,12 @@ class _MomentSystem:
 
 def degree_residuals(data, family, beta, gamma):
     """Observed minus expected degrees, one entry per node."""
-    return _MomentSystem(data, get_family(family), data.covariates, 0.0).evaluate(beta, gamma).f
+    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).f
 
 
 def covariate_residuals(data, family, beta, gamma):
     """Covariate-weighted sum of edge residuals over unordered pairs."""
-    return _MomentSystem(data, get_family(family), data.covariates, 0.0).evaluate(beta, gamma).q
+    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).q
 
 
 def solve_degree_params(data, family, gamma, config=None, beta_init=None):
@@ -320,12 +317,6 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     offset = data.covariates @ np.asarray(gamma, dtype=float)
     system = _MomentSystem(data, family, data.covariates[:, :0], offset)
     state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_outer)
-    if state.f_norm > config.tol_f:
-        raise NonConvergenceError(
-            f"degree solver did not reach tol_f={config.tol_f} within "
-            f"{config.max_outer} iterations (last residual {state.f_norm:.3e})",
-            residual=state.f_norm,
-        )
     return state.beta, iterations, state.f_norm
 
 
@@ -339,7 +330,7 @@ def profile_jacobian(data, family, beta, gamma):
     """
     family = get_family(family)
     pi = _pair_index(data, beta, gamma)
-    return _curvature(data, data.covariates, pi, family.mean_slope(pi)).h
+    return _curvature(data, data.covariates, family.mean_slope(pi)).h
 
 
 def _homophily_bias(data, m2, slope_sums):
@@ -398,7 +389,7 @@ def standard_errors(data, family, beta, gamma):
     """
     family = get_family(family)
     pi = _pair_index(data, beta, gamma)
-    curv = _curvature(data, data.covariates, pi, family.mean_slope(pi))
+    curv = _curvature(data, data.covariates, family.mean_slope(pi))
     _assert_profile_invertible(curv.h, curv.scale)
     return _standard_errors(data, family, curv, family.mean(pi))
 
@@ -442,18 +433,12 @@ def fit(data, family, config=None):
 
     beta = initial_degree_params(family, data.degrees, data.n)
     gamma = np.zeros(data.n_covariates)
-    system = _MomentSystem(data, family, data.covariates, 0.0)
+    system = _MomentSystem(data, family)
     trace = []
     try:
         state, iterations = system.solve(
             beta, gamma, config.tol_f, config.tol_q, config.max_outer, trace
         )
-        if state.f_norm > config.tol_f or state.q_norm > config.tol_q:
-            raise NonConvergenceError(
-                f"no convergence within {config.max_outer} outer iterations "
-                f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
-                residual=state.merit,
-            )
         slope, m2, _ = family.mean_derivs(state.pi)
         if not slope.min() > 0.0:
             # saturated pairs make F and Q vanish in floats away from any root
@@ -464,7 +449,7 @@ def fit(data, family, config=None):
                 f"(last residual {state.merit:.3e})",
                 residual=state.merit,
             )
-        curv = _curvature(data, data.covariates, state.pi, slope, v=system.v)
+        curv = _curvature(data, data.covariates, slope, v=system.v)
         _assert_profile_invertible(curv.h, curv.scale)
         bias = _homophily_bias(data, m2, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)

@@ -4,7 +4,8 @@ Pair-indexed storage: quantities attached to unordered node pairs live in
 flat arrays of length n*(n-1)/2, ordered row-major over the strict lower
 triangle, i.e. pair (i, j) with i > j sits at offset i*(i-1)/2 + j.  This is
 the order produced by ``numpy.tril_indices(n, -1)``, so row i's pairs form one
-contiguous block.  Pair covariates are stored column-major: each covariate is
+contiguous block; ``symmetric_from_pairs`` is the one writer of a dense matrix
+from pair order.  Pair covariates are stored column-major: each covariate is
 one contiguous run of n*(n-1)/2 values.
 """
 
@@ -34,6 +35,19 @@ def pair_offset(i, j):
 def pair_indices(n):
     """(rows, cols) node ids for all pairs in storage order; rows > cols."""
     return np.tril_indices(n, -1)
+
+
+def symmetric_from_pairs(n, pair_values, diagonal=0.0, out=None):
+    """The symmetric (n, n) matrix with ``pair_values`` (in pair order) off the
+    diagonal and ``diagonal`` on it, written into every entry of ``out`` (a new
+    array when None) one row block at a time."""
+    out = np.empty((n, n)) if out is None else out
+    start = 0
+    for i in range(1, n):
+        out[i, :i] = out[:i, i] = pair_values[start:start + i]
+        start += i
+    np.fill_diagonal(out, diagonal)
+    return out
 
 
 class NetworkData:
@@ -92,8 +106,7 @@ class NetworkData:
     @functools.cached_property
     def adjacency(self):
         """The (n, n) symmetric weight matrix, built from the pair weights."""
-        a = np.zeros((self.n, self.n))
-        a[self.rows, self.cols] = a[self.cols, self.rows] = self.pair_weights
+        a = symmetric_from_pairs(self.n, self.pair_weights)
         a.setflags(write=False)
         return a
 
@@ -134,12 +147,16 @@ class BalanceCheck:
     max_offdiag: float
 
 
-def check_diagonally_balanced(v, rel_tol=1e-10):
+# relative rounding allowance per summed entry in the balance test
+_BALANCE_REL_TOL = 1e-10
+
+
+def check_diagonally_balanced(v):
     """Test membership in the diagonally balanced positive matrix class.
 
     A member has strictly positive off-diagonal entries and each diagonal
     entry equal to the sum of the off-diagonal entries in its row, up to an
-    accumulated-rounding allowance of n * max_offdiag * rel_tol.
+    accumulated-rounding allowance of n * max_offdiag * 1e-10.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -154,6 +171,6 @@ def check_diagonally_balanced(v, rel_tol=1e-10):
     if m_n <= 0.0:
         return BalanceCheck(False, m_n, M_n)
     row_off_sums = v.sum(axis=1) - np.diag(v)
-    tol = n * M_n * rel_tol
+    tol = n * M_n * _BALANCE_REL_TOL
     balanced = bool(np.all(np.abs(np.diag(v) - row_off_sums) <= tol))
     return BalanceCheck(balanced, m_n, M_n)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DataError, DegenerateDegreeError, NetmomentError
 from .estimation import SolverConfig, check_interior_degrees, fit
 from .families import get_family
-from .network import NetworkData, pair_count, pair_indices
+from .network import NetworkData, pair_count, pair_indices, symmetric_from_pairs
 
 _MAX_REGEN_ATTEMPTS = 10
 _CI_LEVEL = 1.96
@@ -88,9 +88,10 @@ class GenSpec:
     i.i.d. uniform on [-beta_range, beta_range] per network.  Dependence
     "equicorrelated_probit" replaces independent sampling by thresholding
     latent normals that share a common factor with weight sqrt(rho); it is
-    only defined for the probit family.  ``noise_free`` replaces sampled
-    weights by their exact means, producing a fractional pseudo-network
-    whose moment equations the truth solves identically.
+    only defined for the probit family, and ``rho`` must be 0 without it.
+    ``noise_free`` replaces sampled weights by their exact means, producing
+    a fractional pseudo-network whose moment equations the truth solves
+    identically.
     """
 
     n: int
@@ -116,6 +117,8 @@ class GenSpec:
             raise DataError(
                 "gamma_star length must match the covariate rule's column count"
             )
+        if not all(np.isfinite(self.gamma_star)):
+            raise DataError("gamma_star must be finite")
         if self.beta_star is not None:
             beta = tuple(float(b) for b in self.beta_star)
             if len(beta) != self.n:
@@ -132,6 +135,8 @@ class GenSpec:
                 raise DataError("equicorrelated dependence is defined for the probit family only")
             if not 0.0 <= self.rho < 1.0:
                 raise DataError("rho must lie in [0, 1)")
+        elif self.rho != 0.0:
+            raise DataError("rho applies only to dependence 'equicorrelated_probit'")
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,7 @@ def generate_with_truth(spec, rng=None):
     else:
         weights = family.sample(pi, rng)
 
-    adjacency = np.zeros((n, n))
-    adjacency[rows, cols] = weights
-    adjacency[cols, rows] = weights
-    return SyntheticNetwork(NetworkData(adjacency, z), beta, gamma)
+    return SyntheticNetwork(NetworkData(symmetric_from_pairs(n, weights), z), beta, gamma)
 
 
 def _run_replicate(spec, replicate, config, spec_index=0):

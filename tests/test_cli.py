@@ -112,6 +112,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma-star", "nan"], "error: gamma_star must be finite\n"),
+        (["--gamma-star", "0.5", "--rho", "0.7"],
+         "error: rho applies only to dependence 'equicorrelated_probit'\n"),
+    ])
+    def test_ignored_or_nonfinite_setting_exits_one(self, tmp_path, capsys, flags, message):
+        code = main(["simulate", "--family", "probit", "--n", "10",
+                     "--out", str(tmp_path / "x"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "x_edges.csv").exists()
+
     def test_unsamplable_poisson_mean_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--family", "poisson", "--n", "20",
                      "--gamma-star", "0.5", "--beta-range", "25",

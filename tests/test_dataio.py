@@ -775,6 +775,18 @@ max_outer = 150
         )
         assert solver_config(flat) == SolverConfig(max_outer=7)
 
+    @pytest.mark.parametrize("line, message", [
+        ("gamma_star = nan", "gamma_star must be finite"),
+        ("rho = 0.7", "rho applies only to dependence 'equicorrelated_probit'"),
+    ])
+    def test_nonfinite_gamma_or_ignored_rho_rejected(self, tmp_path, line, message):
+        text = "family = probit\nn_grid = 10\nreplicates = 2\n"
+        if not line.startswith("gamma_star"):
+            text += "gamma_star = 0.5\n"
+        path = _write(tmp_path / "study.cfg", text + line + "\n")
+        with pytest.raises(DataError, match=message):
+            parse_study_config(path)
+
     def test_non_finite_tolerance_rejected(self, tmp_path):
         path = _write(tmp_path / "study.cfg", self.GOOD + "tol_q = nan\n")
         with pytest.raises(DataError, match="finite and positive"):

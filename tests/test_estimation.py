@@ -72,6 +72,42 @@ class TestSolverConfig:
         with pytest.raises(DataError, match="finite and positive"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, -1])
+    def test_max_outer_must_be_a_positive_integer(self, value):
+        with pytest.raises(DataError, match="max_outer must be an integer of at least 1"):
+            SolverConfig(max_outer=value)
+
+    def test_numpy_integer_max_outer_accepted(self):
+        data, _, _ = build_instance("logistic", 10, 2, seed=191)
+        result = fit(data, "logistic", SolverConfig(max_outer=np.int64(50)))
+        assert result.converged
+
+
+class TestIterationCap:
+    """The Newton driver alone raises the cap failure, named by its system."""
+
+    def test_fit_cap_message_residual_and_trace(self):
+        data, _, _ = build_instance("logistic", 30, 2, seed=191)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            fit(data, "logistic", SolverConfig(max_outer=2))
+        exc = excinfo.value
+        assert str(exc).startswith("joint solver did not reach the tolerances within 2 iterations")
+        assert [entry["outer"] for entry in exc.trace] == [1, 2]
+        last = exc.trace[-1]
+        assert exc.residual == max(last["residual_degree"], last["residual_covariate"])
+        assert exc.residual > 1e-8
+        assert str(exc).endswith(f"(residuals: degree {last['residual_degree']:.3e}, "
+                                 f"covariate {last['residual_covariate']:.3e})")
+
+    def test_degree_solver_cap_message_and_residual(self):
+        data, _, gamma = build_instance("logistic", 30, 2, seed=191)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve_degree_params(data, "logistic", gamma, SolverConfig(max_outer=2))
+        exc = excinfo.value
+        assert str(exc).startswith("degree solver did not reach the tolerances within 2 iterations")
+        assert 1e-8 < exc.residual < np.inf
+        assert str(exc).endswith(f"(residuals: degree {exc.residual:.3e}, covariate 0.000e+00)")
+
 
 class TestResiduals:
     def test_poisson_complete_graph_zero(self):
@@ -518,11 +554,11 @@ class TestCurvaturePass:
     def test_degree_jacobian_built_and_solved_once_per_iterate(self, monkeypatch):
         data, _, _ = build_instance("logistic", 12, 2, seed=221)
         builds, solves = [], []
-        assemble, solve = estimation._jacobian_from_slopes, np.linalg.solve
+        assemble, solve = estimation.symmetric_from_pairs, np.linalg.solve
 
-        def counting_assemble(data, slope, slope_sums, v):
+        def counting_assemble(n, pair_values, diagonal, out=None):
             builds.append(1)
-            return assemble(data, slope, slope_sums, v)
+            return assemble(n, pair_values, diagonal, out)
 
         def counting_solve(a, b):
             if np.shape(a) == (data.n, data.n):
@@ -532,7 +568,7 @@ class TestCurvaturePass:
         def forbidden(*args, **kwargs):
             raise AssertionError("fit must not test the balanced class")
 
-        monkeypatch.setattr(estimation, "_jacobian_from_slopes", counting_assemble)
+        monkeypatch.setattr(estimation, "symmetric_from_pairs", counting_assemble)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(network, "check_diagonally_balanced", forbidden)
         monkeypatch.setattr(estimation, "check_diagonally_balanced", forbidden)
@@ -596,10 +632,10 @@ class TestJacobianBuffer:
     def test_every_entry_rewritten(self, name):
         data, beta, gamma = build_instance(name, 9, 2, seed=251)
         family = get_family(name)
-        system = estimation._MomentSystem(data, family, data.covariates, 0.0)
+        system = estimation._MomentSystem(data, family)
         system.v.fill(np.nan)
         slope = family.mean_slope(estimation._pair_index(data, beta, gamma))
-        v = estimation._jacobian_from_slopes(data, slope, data.node_pair_sums(slope), system.v)
+        v = network.symmetric_from_pairs(9, -slope, -data.node_pair_sums(slope), system.v)
         assert v is system.v
         assert np.array_equal(v, degree_jacobian(data, family, beta, gamma))
         # against a build by pair offsets
@@ -615,14 +651,14 @@ class TestJacobianBuffer:
         """Poisoning the buffer before each assembly leaves the fit unchanged."""
         data, _, _ = build_instance("logistic", 12, 2, seed=261)
         clean = fit(data, "logistic")
-        assemble, buffers = estimation._jacobian_from_slopes, set()
+        assemble, buffers = estimation.symmetric_from_pairs, set()
 
-        def poisoning_assemble(data, slope, slope_sums, v):
-            buffers.add(id(v))
-            v.fill(np.nan)
-            return assemble(data, slope, slope_sums, v)
+        def poisoning_assemble(n, pair_values, diagonal, out=None):
+            buffers.add(id(out))
+            out.fill(np.nan)
+            return assemble(n, pair_values, diagonal, out)
 
-        monkeypatch.setattr(estimation, "_jacobian_from_slopes", poisoning_assemble)
+        monkeypatch.setattr(estimation, "symmetric_from_pairs", poisoning_assemble)
         poisoned = fit(data, "logistic")
         assert len(buffers) == 1
         assert json.dumps(fit_result_to_dict(poisoned)) == json.dumps(fit_result_to_dict(clean))

@@ -12,6 +12,7 @@ from netmoment.network import (
     pair_count,
     pair_indices,
     pair_offset,
+    symmetric_from_pairs,
 )
 from oracles import diagonal_inverse_approx, random_balanced_matrix
 
@@ -27,6 +28,23 @@ class TestPairIndexing:
     def test_self_pair_rejected(self):
         with pytest.raises(DataError):
             pair_offset(3, 3)
+
+
+class TestSymmetricFromPairs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_matches_pair_offsets_in_every_entry(self, n):
+        rng = np.random.default_rng(n)
+        values, diagonal = rng.normal(size=pair_count(n)), rng.normal(size=n)
+        out = np.full((n, n), np.nan)
+        m = symmetric_from_pairs(n, values, diagonal, out)
+        assert m is out
+        for i in range(n):
+            for j in range(n):
+                assert m[i, j] == (diagonal[i] if i == j else values[pair_offset(i, j)])
+
+    def test_scalar_diagonal_and_new_array(self):
+        m = symmetric_from_pairs(3, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(m, [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
 
 
 def _random_network(n, p, seed):

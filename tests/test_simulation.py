@@ -111,6 +111,20 @@ class TestGenSpecValidation:
         with pytest.raises(DataError, match="finite"):
             GenSpec(n=4, beta_star=(0.0, np.nan, 0.0, 0.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_gamma_star(self, value):
+        with pytest.raises(DataError, match="gamma_star must be finite"):
+            GenSpec(n=10, gamma_star=(value,))
+
+    @pytest.mark.parametrize("dependence", [None, "independent"])
+    def test_rejects_rho_without_equicorrelated_dependence(self, dependence):
+        kwargs = {} if dependence is None else {"dependence": dependence}
+        with pytest.raises(DataError, match="rho applies only to dependence 'equicorrelated_probit'"):
+            GenSpec(n=10, family="probit", rho=0.7, **kwargs)
+
+    def test_zero_rho_is_valid_without_dependence(self):
+        assert GenSpec(n=10, family="probit", rho=0.0).rho == 0.0
+
     def test_rejects_negative_beta_range(self):
         with pytest.raises(DataError, match="beta_range"):
             GenSpec(n=10, beta_range=-1.0)
