@@ -12,8 +12,9 @@ from dataclasses import asdict
 from . import dataio
 from .errors import DataError, NonConvergenceError, SingularDesignError
 from .estimation import fit
+from .families import FAMILY_NAMES
 from .network import NetworkData
-from .simulation import generate_with_truth, run_mc_study
+from .simulation import COVARIATE_KINDS, DEPENDENCE_MODES, generate_with_truth, run_mc_study
 
 
 class _UsageError(Exception):
@@ -32,14 +33,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     fit_p = sub.add_parser("fit", help="estimate parameters from CSV files")
-    fit_p.add_argument("--family", required=True, choices=["logistic", "poisson", "probit"])
+    fit_p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     fit_p.add_argument("--edges", required=True, metavar="PATH")
     fit_p.add_argument("--pair-covariates", metavar="PATH")
     fit_p.add_argument("--node-attrs", metavar="PATH")
     fit_p.add_argument(
         "--transform",
         default="none",
-        choices=list(dataio.TRANSFORMS),
+        choices=dataio.TRANSFORMS,
         help="how to turn node attributes into pair covariates",
     )
     fit_p.add_argument("--tol-f", type=float)
@@ -51,17 +52,17 @@ def _build_parser():
     fit_p.add_argument("--format", default="json", choices=["json", "csv"])
 
     sim_p = sub.add_parser("simulate", help="generate a synthetic network as CSV files")
-    sim_p.add_argument("--family", required=True, choices=["logistic", "poisson", "probit"])
+    sim_p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     sim_p.add_argument("--n", required=True, type=int)
     sim_p.add_argument("--gamma-star", required=True, help="comma-separated coefficients")
     sim_p.add_argument("--beta-star", help="comma-separated degree parameters (default: drawn)")
     sim_p.add_argument("--beta-range", type=float)
-    sim_p.add_argument("--covariate-rule", choices=["iid_pm1", "iid_uniform", "node_distance"])
+    sim_p.add_argument("--covariate-rule", choices=COVARIATE_KINDS)
     sim_p.add_argument("--covariate-p", type=int)
     sim_p.add_argument("--covariate-low", type=float)
     sim_p.add_argument("--covariate-high", type=float)
     sim_p.add_argument("--covariate-dim", type=int)
-    sim_p.add_argument("--dependence", choices=["independent", "equicorrelated_probit"])
+    sim_p.add_argument("--dependence", choices=DEPENDENCE_MODES)
     sim_p.add_argument("--rho", type=float)
     sim_p.add_argument("--noise-free", action="store_true")
     sim_p.add_argument("--seed", type=int)
@@ -82,7 +83,7 @@ def _build_parser():
 
 def _parse_floats(text, what):
     try:
-        values = tuple(float(v.strip()) for v in text.split(",") if v.strip())
+        values = dataio._list_of(float)(text)
     except ValueError as exc:
         raise DataError(f"{what} must be comma-separated numbers: {text!r}") from exc
     if not values:

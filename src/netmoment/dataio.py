@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite
 from .estimation import SolverConfig
 from .network import pair_count, pair_indices, pair_offset, symmetric_from_pairs
 from .simulation import CovariateRule, GenSpec
@@ -229,17 +229,16 @@ def derive_pair_covariates(node_attrs, transform):
     two nodes' attribute vectors; ``match_indicator`` gives one column that
     is 1.0 when the vectors are identical and 0.0 otherwise.
     """
-    attrs = np.asarray(node_attrs, dtype=float)
-    if attrs.ndim != 2 or attrs.shape[0] < 2:
+    if not isinstance(transform, str) or transform not in TRANSFORMS[1:]:
+        choices = " or ".join(TRANSFORMS[1:])
+        raise DataError(f"unknown transform {transform!r}; choose {choices}")
+    attrs = _finite("node attributes", node_attrs)
+    if np.ndim(attrs) != 2 or attrs.shape[0] < 2:
         raise DataError("node attributes must be a 2-D array with at least 2 rows")
-    if not np.isfinite(attrs).all():
-        raise DataError("node attributes must be finite")
     rows, cols = pair_indices(attrs.shape[0])
     if transform == "euclidean_distance":
         return np.linalg.norm(attrs[rows] - attrs[cols], axis=1)[:, None]
-    if transform == "match_indicator":
-        return np.all(attrs[rows] == attrs[cols], axis=1).astype(float)[:, None]
-    raise DataError(f"unknown transform {transform!r}; choose euclidean_distance or match_indicator")
+    return np.all(attrs[rows] == attrs[cols], axis=1).astype(float)[:, None]
 
 
 def _output(dest):

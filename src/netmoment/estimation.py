@@ -15,13 +15,13 @@ A fit allocates V once: each iterate, and the converged one, rewrites every
 entry of that (n, n) buffer from its pair slopes and their node sums.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError
+from .errors import (
+    DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError, _finite, _integer)
 from .families import get_family, initial_degree_params
 from .network import covariate_magnitude, symmetric_from_pairs
 # check_diagonally_balanced stays importable from this module, where
@@ -33,9 +33,9 @@ from .network import check_diagonally_balanced  # noqa: F401
 class SolverConfig:
     """Tolerances and the iteration cap for the Newton solver.
 
-    ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate
-    residuals and must be finite and positive; ``max_outer``, an integer of
-    at least 1, caps the iterates of ``fit`` and of ``solve_degree_params``.
+    ``tol_f`` and ``tol_q`` bound the max-norm degree and covariate residuals
+    and must be finite and positive; ``max_outer``, an integer (not a ``bool``) of
+    at least 1, caps the iterates of ``fit`` and ``solve_degree_params``.
     """
 
     tol_f: float = 1e-8
@@ -43,10 +43,17 @@ class SolverConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if not (0 < self.tol_f < np.inf and 0 < self.tol_q < np.inf):
-            raise DataError("tolerances must be finite and positive")
-        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
-            raise DataError(f"max_outer must be an integer of at least 1, got {self.max_outer!r}")
+        message = "tolerances must be finite and positive"
+        if not _finite("tolerances", (self.tol_f, self.tol_q), (2,), message).min() > 0:
+            raise DataError(message)
+        _integer("max_outer", self.max_outer, 1)
+
+
+def _solver_config(config):
+    """``config``, or the default ``SolverConfig`` when it is None."""
+    if not isinstance(config, (SolverConfig, type(None))):
+        raise DataError(f"config must be a SolverConfig, got {config!r}")
+    return config or SolverConfig()
 
 
 @dataclass
@@ -76,8 +83,14 @@ _MAX_HALVINGS = 40
 _MAX_STEP = 1e6
 
 
+def _parameters(data, beta, gamma):
+    """A caller's beta (length n) and gamma (length p) as float arrays; DataError otherwise."""
+    return _finite("beta", beta, (data.n,)), _finite("gamma", gamma, (data.n_covariates,))
+
+
 def _pair_index(data, beta, gamma):
     """Index value beta_i + beta_j + z_ij . gamma for every pair."""
+    beta, gamma = _parameters(data, beta, gamma)
     return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
 
 
@@ -284,12 +297,12 @@ class _MomentSystem:
 
 def degree_residuals(data, family, beta, gamma):
     """Observed minus expected degrees, one entry per node."""
-    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).f
+    return _MomentSystem(data, get_family(family)).evaluate(*_parameters(data, beta, gamma)).f
 
 
 def covariate_residuals(data, family, beta, gamma):
     """Covariate-weighted sum of edge residuals over unordered pairs."""
-    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).q
+    return _MomentSystem(data, get_family(family)).evaluate(*_parameters(data, beta, gamma)).q
 
 
 def solve_degree_params(data, family, gamma, config=None, beta_init=None):
@@ -308,13 +321,13 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     ``beta_init`` of about -40 or less, F moves by less than its own rounding.
     """
     family = get_family(family)
-    config = config or SolverConfig()
+    config = _solver_config(config)
     check_interior_degrees(data, family)
 
     if beta_init is None:
         beta_init = initial_degree_params(family, data.degrees, data.n)
-    beta = np.array(beta_init, dtype=float)
-    offset = data.covariates @ np.asarray(gamma, dtype=float)
+    beta = np.array(_finite("beta_init", beta_init, (data.n,)))  # a copy: it may be returned
+    offset = data.covariates @ _finite("gamma", gamma, (data.n_covariates,))
     system = _MomentSystem(data, family, data.covariates[:, :0], offset)
     state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_outer)
     return state.beta, iterations, state.f_norm
@@ -354,12 +367,14 @@ def homophily_bias(data, family, beta, gamma):
 
 def bias_correct(gamma, profile_hessian, bias, n):
     """Analytic bias correction: subtract sqrt(N) H^{-1} B from the estimate."""
-    n_ordered = n * (n - 1)
+    gamma = np.atleast_1d(_finite("gamma", gamma))
+    bias = _finite("bias", bias, gamma.shape)
+    n_ordered = _integer("n", n, 2) * (n - 1)
     try:
-        step = np.linalg.solve(profile_hessian, bias)
+        step = np.linalg.solve(_finite("profile_hessian", profile_hessian, gamma.shape * 2), bias)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
-    return np.asarray(gamma, dtype=float) - np.sqrt(n_ordered) * step
+    return gamma - np.sqrt(n_ordered) * step
 
 
 def _standard_errors(data, family, curv, mu):
@@ -428,7 +443,7 @@ def fit(data, family, config=None):
     the iterates so far.
     """
     family = get_family(family)
-    config = config or SolverConfig()
+    config = _solver_config(config)
     check_interior_degrees(data, family)
 
     beta = initial_degree_params(family, data.degrees, data.n)

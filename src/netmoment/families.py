@@ -14,19 +14,12 @@ package, and a logistic or Poisson run never needs it.
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite
 
 # the largest index whose exp() is a finite double
 _LOG_MAX = np.log(np.finfo(float).max)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _as_finite_array(pi):
-    pi = np.asarray(pi, dtype=float)
-    if not np.all(np.isfinite(pi)):
-        raise DataError("edge index contains non-finite values")
-    return pi
 
 
 def _normal_pdf(pi):
@@ -41,9 +34,9 @@ def _logistic(pi):
 
 
 def _poisson_mean(pi):
-    pi = _as_finite_array(pi)
-    if pi.size and pi.max() > _LOG_MAX:
-        raise DataError(f"Poisson index {float(pi.max())!r} is too large: exp overflows")
+    pi = _finite("edge index", pi)
+    if np.max(pi, initial=-np.inf) > _LOG_MAX:
+        raise DataError(f"Poisson index {float(np.max(pi))!r} is too large: exp overflows")
     return np.exp(pi)
 
 
@@ -104,14 +97,14 @@ class LogisticFamily(EdgeFamily):
     _slope_is_variance = True
 
     def mean(self, pi):
-        return _logistic(_as_finite_array(pi))
+        return _logistic(_finite("edge index", pi))
 
     def mean_slope(self, pi):
-        mu = _logistic(_as_finite_array(pi))
+        mu = _logistic(_finite("edge index", pi))
         return mu * (1.0 - mu)
 
     def mean_derivs(self, pi):
-        mu = _logistic(_as_finite_array(pi))
+        mu = _logistic(_finite("edge index", pi))
         m1 = mu * (1.0 - mu)
         m2 = m1 * (1.0 - 2.0 * mu)
         m3 = m1 * (1.0 - 2.0 * mu) ** 2 - 2.0 * m1 * m1
@@ -170,13 +163,13 @@ class ProbitFamily(EdgeFamily):
     support = "binary"
 
     def mean(self, pi):
-        return _special().ndtr(_as_finite_array(pi))
+        return _special().ndtr(_finite("edge index", pi))
 
     def mean_slope(self, pi):
-        return _normal_pdf(_as_finite_array(pi))
+        return _normal_pdf(_finite("edge index", pi))
 
     def mean_derivs(self, pi):
-        pi = _as_finite_array(pi)
+        pi = _finite("edge index", pi)
         pdf = _normal_pdf(pi)
         return pdf, -pi * pdf, (pi * pi - 1.0) * pdf
 
@@ -193,6 +186,7 @@ _FAMILIES = {
     "poisson": PoissonFamily,
     "probit": ProbitFamily,
 }
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def get_family(name):
@@ -201,7 +195,7 @@ def get_family(name):
         return name
     try:
         return _FAMILIES[name]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DataError(
             f"unknown edge family {name!r}; choose from {sorted(_FAMILIES)}"
         ) from None

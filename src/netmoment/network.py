@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _array, _finite, _integer
 
 
 def pair_count(n):
@@ -22,9 +22,9 @@ def pair_count(n):
 
 
 def pair_offset(i, j):
-    """Flat offset of unordered pair {i, j} in lower-triangle row-major order."""
-    i = np.asarray(i)
-    j = np.asarray(j)
+    """Flat offset of unordered pair {i, j} in lower-triangle row-major order;
+    ``i`` and ``j`` are node ids, or lists or integer arrays of them."""
+    i, j = (_integer("node id", _array(k), 0) for k in (i, j))
     if np.any(i == j):
         raise DataError("self-pairs have no offset")
     hi = np.maximum(i, j)
@@ -69,29 +69,25 @@ class NetworkData:
 
     def __init__(self, adjacency, covariates):
         # read in place; C order sums each row as a copy would
-        a = np.asarray(adjacency, dtype=float, order="C")
+        a = np.asarray(_finite("adjacency", adjacency), order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"adjacency must be square, got shape {a.shape}")
         n = a.shape[0]
         if n < 2:
             raise DataError("a network needs at least two nodes")
-        if not np.all(np.isfinite(a)):
-            raise DataError("adjacency contains non-finite entries")
         if np.any(np.diag(a) != 0.0):
             bad = np.nonzero(np.diag(a))[0]
             raise DataError(f"self-loops are not allowed (nodes {bad.tolist()})")
         if not np.array_equal(a, a.T):
             raise DataError("adjacency must be exactly symmetric")
 
-        z = np.array(covariates, dtype=float, order="F")
+        z = np.array(_finite("covariates", covariates), order="F")
         if z.ndim == 1:
             z = z[:, None]
         if z.ndim != 2 or z.shape[0] != pair_count(n) or z.shape[1] < 1:
             raise DataError(
                 f"covariates must have shape ({pair_count(n)}, p>=1), got {z.shape}"
             )
-        if not np.all(np.isfinite(z)):
-            raise DataError("covariates contain non-finite entries")
 
         self.n = n
         self.rows, self.cols = pair_indices(n)

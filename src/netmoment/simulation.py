@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateDegreeError, NetmomentError
-from .estimation import SolverConfig, check_interior_degrees, fit
+from .errors import DataError, DegenerateDegreeError, NetmomentError, _finite, _integer
+from .estimation import _solver_config, check_interior_degrees, fit
 from .families import get_family
 from .network import NetworkData, pair_count, pair_indices, symmetric_from_pairs
 
+COVARIATE_KINDS = ("iid_pm1", "iid_uniform", "node_distance")
+DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
 _MAX_REGEN_ATTEMPTS = 10
 _CI_LEVEL = 1.96
 # (getter, setter) symbol pairs under which OpenBLAS builds export their
@@ -55,15 +57,17 @@ class CovariateRule:
     dim: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("iid_pm1", "iid_uniform", "node_distance"):
+        if not isinstance(self.kind, str) or self.kind not in COVARIATE_KINDS:
             raise DataError(f"unknown covariate rule {self.kind!r}")
         if self.kind == "node_distance":
-            if self.dim < 1:
-                raise DataError("node_distance needs dim >= 1")
-        elif self.p < 1:
-            raise DataError("covariate rules need p >= 1")
-        if self.kind == "iid_uniform" and not 0.0 < self.high - self.low < np.inf:
-            raise DataError("iid_uniform needs low < high and a finite range high - low")
+            _integer("dim", self.dim, 1, "node_distance needs an integer dim >= 1")
+        else:
+            _integer("p", self.p, 1, "covariate rules need an integer p >= 1")
+        if self.kind == "iid_uniform":
+            message = "iid_uniform needs low < high and a finite range high - low"
+            low, high = _finite("low and high", (self.low, self.high), (2,), message).tolist()
+            if not 0.0 < high - low < np.inf:
+                raise DataError(message)
 
     @property
     def n_covariates(self):
@@ -89,9 +93,9 @@ class GenSpec:
     "equicorrelated_probit" replaces independent sampling by thresholding
     latent normals that share a common factor with weight sqrt(rho); it is
     only defined for the probit family, and ``rho`` must be 0 without it.
-    ``noise_free`` replaces sampled weights by their exact means, producing
-    a fractional pseudo-network whose moment equations the truth solves
-    identically.
+    ``noise_free``, a ``bool``, replaces sampled weights by their exact
+    means, producing a fractional pseudo-network whose moment equations the
+    truth solves identically.
     """
 
     n: int
@@ -106,36 +110,36 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DataError("need at least 3 nodes")
-        if self.seed < 0:
-            raise DataError(f"seed must be nonnegative, got {self.seed}")
-        fam = get_family(self.family)
-        object.__setattr__(self, "family", fam.name)
-        object.__setattr__(self, "gamma_star", tuple(float(g) for g in self.gamma_star))
-        if len(self.gamma_star) != self.covariates.n_covariates:
+        _integer("n", self.n, 3, f"need at least 3 nodes (an integer n >= 3), got {self.n!r}")
+        _integer("seed", self.seed, 0, f"seed must be nonnegative and an integer, got {self.seed!r}")
+        if not isinstance(self.noise_free, (bool, np.bool_)):
+            raise DataError(f"noise_free must be a bool, got {self.noise_free!r}")
+        object.__setattr__(self, "family", get_family(self.family).name)
+        if not isinstance(self.covariates, CovariateRule):
+            raise DataError(f"covariates must be a CovariateRule, got {self.covariates!r}")
+        gamma = _finite("gamma_star", self.gamma_star)
+        if np.shape(gamma) != (self.covariates.n_covariates,):
             raise DataError(
                 "gamma_star length must match the covariate rule's column count"
             )
-        if not all(np.isfinite(self.gamma_star)):
-            raise DataError("gamma_star must be finite")
+        object.__setattr__(self, "gamma_star", tuple(gamma.tolist()))
         if self.beta_star is not None:
-            beta = tuple(float(b) for b in self.beta_star)
-            if len(beta) != self.n:
+            beta = _finite("beta_star", self.beta_star)
+            if np.shape(beta) != (self.n,):
                 raise DataError("beta_star must have one entry per node")
-            if not all(np.isfinite(beta)):
-                raise DataError("beta_star must be finite")
-            object.__setattr__(self, "beta_star", beta)
-        if not np.isfinite(self.beta_range) or self.beta_range < 0:
-            raise DataError("beta_range must be finite and nonnegative")
-        if self.dependence not in ("independent", "equicorrelated_probit"):
+            object.__setattr__(self, "beta_star", tuple(beta.tolist()))
+        message = "beta_range must be finite and nonnegative"
+        if _finite("beta_range", self.beta_range, (), message) < 0:
+            raise DataError(message)
+        if not isinstance(self.dependence, str) or self.dependence not in DEPENDENCE_MODES:
             raise DataError(f"unknown dependence mode {self.dependence!r}")
+        rho = _finite("rho", self.rho, ())
         if self.dependence == "equicorrelated_probit":
-            if fam.name != "probit":
+            if self.family != "probit":
                 raise DataError("equicorrelated dependence is defined for the probit family only")
-            if not 0.0 <= self.rho < 1.0:
+            if not 0.0 <= rho < 1.0:
                 raise DataError("rho must lie in [0, 1)")
-        elif self.rho != 0.0:
+        elif rho != 0.0:
             raise DataError("rho applies only to dependence 'equicorrelated_probit'")
 
 
@@ -245,10 +249,9 @@ def _worker_count(n_tasks):
         try:
             limit = int(env)
         except ValueError:
-            limit = 0
-        if limit < 1:
-            raise DataError(f"NETMOMENT_THREADS must be a positive integer: {env!r}")
-        cap = min(cap, limit)
+            limit = None
+        cap = min(cap, _integer("NETMOMENT_THREADS", limit, 1,
+                                f"NETMOMENT_THREADS must be a positive integer: {env!r}"))
     return min(cap, n_tasks)
 
 
@@ -376,12 +379,13 @@ def run_mc_study(specs, replicates, config=None):
     caller also get single-threaded OpenBLAS until it returns, when the
     caller's thread counts are restored.
     """
-    if replicates < 1:
-        raise DataError("replicates must be at least 1")
-    specs = list(specs)
+    _integer("replicates", replicates, 1)
+    specs = list(specs) if np.iterable(specs) else None
     if not specs:
         raise DataError("need at least one generation spec")
-    config = config or SolverConfig()
+    if not all(isinstance(spec, GenSpec) for spec in specs):
+        raise DataError("specs must be GenSpec instances")
+    config = _solver_config(config)
 
     tasks = [(spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)]
     workers = _worker_count(len(tasks))

@@ -4,15 +4,26 @@ Instances are built directly with numpy (not through the package's own
 simulator) so estimation tests do not depend on generator correctness.
 Seeds are fixed; builders retry deterministically until degrees are
 interior, so every returned instance is fittable.
+
+Property tests run under the hypothesis profile "ci" when the ``CI``
+environment variable is set (GitHub Actions sets it): examples are drawn
+derandomized, so a red run in CI reproduces locally with ``CI=1``.
 """
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import optimize
 from scipy.special import expit, ndtr
 
 from netmoment.network import NetworkData, pair_indices
 from oracles import degree_residuals_ref, joint_solve_ref
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def _sample_weights(name, pi, rng):

@@ -1,5 +1,6 @@
 """Moment residuals, solvers, profile Jacobian, bias, and standard errors."""
 
+import functools
 import json
 import os
 import subprocess
@@ -72,7 +73,7 @@ class TestSolverConfig:
         with pytest.raises(DataError, match="finite and positive"):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, -1])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, -1, True])
     def test_max_outer_must_be_a_positive_integer(self, value):
         with pytest.raises(DataError, match="max_outer must be an integer of at least 1"):
             SolverConfig(max_outer=value)
@@ -531,6 +532,58 @@ class TestFitProperties:
         columns = [x[rows] + x[cols]] + ([data.covariates[:, 0]] if with_pair_column else [])
         with pytest.raises(SingularDesignError):
             fit(NetworkData(data.adjacency, np.column_stack(columns)), name)
+
+
+@functools.lru_cache(maxsize=None)
+def _uncentred_fit(name):
+    """A network with two uniform, uncentred covariate columns, and its fit."""
+    spec = GenSpec(n=60, family=name, gamma_star=(0.5, -0.5),
+                   covariates=CovariateRule(kind="iid_uniform", p=2), seed=5)
+    data = generate_with_truth(spec).data
+    return data, fit(data, name, TIGHT)
+
+
+def _refit(data, name, column, scale=1.0, shift=0.0):
+    """Fit the network with covariate ``column`` replaced by scale * z + shift."""
+    z = np.array(data.covariates)
+    z[:, column] = scale * z[:, column] + shift
+    return fit(NetworkData(data.adjacency, z), name, TIGHT)
+
+
+class TestCovariateInvariance:
+    """Rescaling or shifting one covariate column reparametrizes the model:
+    the fit must follow exactly, up to the solver's tolerances."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(FAMILIES), column=st.integers(0, 1),
+           scale=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_scaling_a_column_divides_its_coefficients(self, name, column, scale, sign):
+        data, base = _uncentred_fit(name)
+        c = sign * scale
+        result = _refit(data, name, column, scale=c)
+        for field in ("gamma", "gamma_bc", "se_gamma"):
+            expected = getattr(base, field).copy()
+            expected[column] /= abs(c) if field == "se_gamma" else c
+            assert_allclose(getattr(result, field), expected, rtol=1e-9, err_msg=field)
+        assert_allclose(result.beta, base.beta, rtol=1e-9, atol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(FAMILIES), column=st.integers(0, 1), shift=st.floats(-3.0, 3.0))
+    def test_shifting_a_column_moves_only_beta(self, name, column, shift):
+        data, base = _uncentred_fit(name)
+        result = _refit(data, name, column, shift=shift)
+        assert_allclose(result.gamma, base.gamma, rtol=1e-9, atol=1e-10)
+        assert_allclose(result.se_gamma, base.se_gamma, rtol=1e-9, atol=1e-10)
+        assert_allclose(result.beta, base.beta - shift * base.gamma[column] / 2,
+                        rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason="the bias term weights the raw covariates, not "
+                       "the covariates profiled on the degree effects (ROADMAP item 1)")
+    def test_shifting_a_column_leaves_the_corrected_coefficients(self):
+        for name in FAMILIES:
+            data, base = _uncentred_fit(name)
+            result = _refit(data, name, 0, shift=0.7)
+            assert_allclose(result.gamma_bc, base.gamma_bc, rtol=1e-9, atol=1e-10, err_msg=name)
 
 
 class TestCurvaturePass:

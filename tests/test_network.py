@@ -29,6 +29,12 @@ class TestPairIndexing:
         with pytest.raises(DataError):
             pair_offset(3, 3)
 
+    def test_lists_and_arrays_of_ids(self):
+        assert pair_offset([1, 2, 2], [0, 0, 1]).tolist() == [0, 1, 2]
+        assert pair_offset(np.array([0, 3]), [1, 1]).tolist() == [0, 4]
+        with pytest.raises(DataError, match="node id"):
+            pair_offset([1, 2], [0.0, 1.0])
+
 
 class TestSymmetricFromPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])

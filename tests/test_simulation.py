@@ -99,6 +99,15 @@ class TestGenSpecValidation:
         with pytest.raises(DataError):
             GenSpec(n=10, family="cauchy")
 
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+    def test_rejects_noise_free_that_is_not_a_bool(self, value):
+        # a truthy "no" once generated a noise-free network
+        with pytest.raises(DataError, match="noise_free must be a bool"):
+            GenSpec(n=10, noise_free=value)
+
+    def test_numpy_bool_noise_free_accepted(self):
+        assert GenSpec(n=10, noise_free=np.True_).noise_free
+
     def test_rejects_gamma_length_mismatch(self):
         with pytest.raises(DataError, match="gamma_star length"):
             GenSpec(n=10, gamma_star=(0.5, -0.5), covariates=CovariateRule(p=1))
