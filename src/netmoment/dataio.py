@@ -19,9 +19,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import DataError, _finite
+from .errors import DataError, _finite, _integer
 from .estimation import SolverConfig
-from .network import pair_count, pair_indices, pair_offset, symmetric_from_pairs
+from .network import _network, pair_count, pair_indices, pair_offset, symmetric_from_pairs
 from .simulation import CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
@@ -169,6 +169,7 @@ def read_edges(path, n):
     Pairs absent from the file get weight zero.  Self-loops, duplicate
     unordered pairs, and node ids outside [0, n) are rejected.
     """
+    n = _integer("n", n, 0)
 
     def build(ids, weights):
         i, j = ids.T
@@ -275,14 +276,14 @@ def _write_table(path, header, ids, values):
 
 def write_edges(path, data):
     """Write the nonzero unordered pairs of a network as an edge-list CSV."""
-    weights = data.pair_weights
+    weights = _network(data).pair_weights
     keep = weights != 0.0
     _write_table(path, ["i", "j", "weight"], [data.rows[keep], data.cols[keep]], [weights[keep]])
 
 
 def write_pair_covariates(path, data):
     """Write every unordered pair's covariate row as a CSV."""
-    z = data.covariates
+    z = _network(data).covariates
     header = ["i", "j"] + [f"z{k}" for k in range(1, z.shape[1] + 1)]
     _write_table(path, header, [data.rows, data.cols], z.T)
 
@@ -457,5 +458,6 @@ def parse_study_config(path, seed_override=None):
         raise DataError(f"{path}: missing required config keys: {', '.join(missing)}")
 
     seed = values.get("seed", GenSpec.seed) if seed_override is None else seed_override
+    seed = _integer("seed", seed, 0, f"seed must be nonnegative and an integer, got {seed!r}")
     specs = [gen_spec({**values, "n": n, "seed": seed + k}) for k, n in enumerate(values["n_grid"])]
     return specs, values["replicates"], solver_config(values)

@@ -3,16 +3,27 @@
 The estimating equations match observed degrees (F = 0) and covariate-weighted
 edge sums (Q = 0) to their expectations under the edge-marginal family.  They
 are solved jointly in (beta, gamma) by safeguarded Newton steps.  Each step
-factors the dense degree Jacobian V once and solves it against the columns
-[F, dF/dgamma]; the coefficient step comes from the Schur complement
+solves the degree Jacobian V against the columns [F, dF/dgamma]; the
+coefficient step comes from the Schur complement
 H = dQ/dgamma - dF/dgamma^T V^{-1} dF/dgamma, which is the profile Jacobian of
 the covariate residuals, and the degree step by back-substitution.  The degree
 equations alone, at fixed coefficients, are solved by the same iteration.
 H at the root doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
 
-A fit allocates V once: each iterate, and the converged one, rewrites every
-entry of that (n, n) buffer from its pair slopes and their node sums.
+-V is diagonally balanced: the pair slopes off the diagonal and their node
+sums on it.  Its inverse is close to the inverse of its diagonal, so from
+``_CG_MIN_N`` nodes on each column is solved by conjugate gradients
+preconditioned with that diagonal, in about ten matrix-vector products;
+smaller systems are solved by LU.  A fit allocates one (n, n) buffer: each
+iterate, and the converged one, rewrites every entry of -V there from its
+pair slopes and their node sums.
+
+The functions that solve V, and ``covariate_residuals``, run with OpenBLAS
+held to one thread, so their results do not depend on the BLAS thread count:
+OpenBLAS splits an LU, a matrix-vector product from about 700 rows, and a dot
+product over more than 10000 pairs (a single covariate column) by its thread
+count, which changes the rounding.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import (
     DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError, _finite, _integer)
 from .families import get_family, initial_degree_params
-from .network import covariate_magnitude, symmetric_from_pairs
+from .network import _network, covariate_magnitude, symmetric_from_pairs
 # check_diagonally_balanced stays importable from this module, where
 # bench/test_bench.py looks it up; fit reads m_n and M_n off the slopes.
 from .network import check_diagonally_balanced  # noqa: F401
@@ -75,6 +87,9 @@ class FitResult:
     trace: list = field(default_factory=list)
 
 
+# decorates the functions that solve V or sum over pairs; see the module docstring
+_one_blas_thread = single_blas_thread()
+
 # Halvings of a rejected Newton step before the iteration counts as stalled.
 _MAX_HALVINGS = 40
 # Longest Newton step (max-norm over beta and gamma) tried before halving.  A
@@ -84,8 +99,10 @@ _MAX_STEP = 1e6
 
 
 def _parameters(data, beta, gamma):
-    """A caller's beta (length n) and gamma (length p) as float arrays; DataError otherwise."""
-    return _finite("beta", beta, (data.n,)), _finite("gamma", gamma, (data.n_covariates,))
+    """A caller's beta (length n) and gamma (length p) as float arrays; DataError otherwise,
+    and for a ``data`` that is not a ``NetworkData``."""
+    n, p = _network(data).n, data.n_covariates
+    return _finite("beta", beta, (n,)), _finite("gamma", gamma, (p,))
 
 
 def _pair_index(data, beta, gamma):
@@ -112,7 +129,7 @@ def check_interior_degrees(data, family):
     families need 0 < d_i < n - 1 and count families d_i > 0.
     """
     family = get_family(family)
-    d = data.degrees
+    d = _network(data).degrees
     bad = np.nonzero(~np.isfinite(d))[0]
     if bad.size:
         raise DegenerateDegreeError(
@@ -132,7 +149,7 @@ def check_interior_degrees(data, family):
 class _Curvature(NamedTuple):
     """The curvature of the moment system at one pair index, evaluated once.
 
-    ``solved`` is V^{-1} dF/dgamma for the dense degree Jacobian V, ``h``
+    ``solved`` is V^{-1} dF/dgamma for the degree Jacobian V, ``h``
     the profile Jacobian built from it, and ``scale`` the magnitude of H's
     unprofiled first block.  The scale recognizes designs that the degree
     effects absorb completely: there the two blocks cancel and H collapses
@@ -148,19 +165,68 @@ class _Curvature(NamedTuple):
     solved_f: np.ndarray = None
 
 
+# Smallest n whose degree Jacobian is solved by conjugate gradients, not LU.
+# Median ms for 3 columns with -V's assembly, one thread of a 2-CPU host, over
+# the three families: n = 200, LU 0.6-1.0 and CG 0.8-1.1; n = 250, LU 1.3-1.5
+# and CG 0.9-1.4; n = 600, LU 6.4-9.3 and CG 5.0-5.7.
+_CG_MIN_N = 250
+# Cap on the CG steps per column, and the relative residual (2-norm) that ends
+# them.  The Jacobi-preconditioned spectrum clusters near 1: 9-12 steps there.
+_CG_MAX_STEPS = 100
+_CG_RTOL = 1e-14
+
+
+def _cg(a, diagonal, b):
+    """a^{-1} b for a symmetric positive definite ``a`` by conjugate gradients
+    preconditioned with ``a``'s ``diagonal``, one product with ``a`` per step."""
+    x, r = np.zeros_like(b), b.copy()
+    z = r / diagonal
+    p, rz = z, r @ z
+    stop, steps = _CG_RTOL**2 * (b @ b), 0
+    while r @ r > stop:
+        if steps == _CG_MAX_STEPS:
+            raise NonConvergenceError(
+                f"degree Jacobian solve did not converge within {steps} conjugate-gradient "
+                f"steps (relative residual {np.sqrt((r @ r) / (b @ b)):.3e})")
+        steps += 1
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = r / diagonal
+        rz, rz_before = r @ z, rz
+        p = z + (rz / rz_before) * p
+    return x
+
+
+def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None):
+    """V^{-1} rhs for the degree Jacobian V of pair ``slope`` with node sums ``slope_sums``.
+
+    -V, the slope sums on the diagonal and the slopes off it, is written into
+    ``out`` (a new (n, n) array when None).  It is symmetric positive definite
+    when every slope is positive.  From ``_CG_MIN_N`` nodes on, each column is
+    solved by preconditioned conjugate gradients; below, by LU.
+    """
+    a = symmetric_from_pairs(n, slope, slope_sums, out)
+    if n >= _CG_MIN_N:
+        solved = np.column_stack([_cg(a, slope_sums, b) for b in rhs.T])
+    else:
+        try:
+            solved = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
+    return np.negative(solved, out=solved)
+
+
 def _curvature(data, z, slope, slope_sums=None, f=None, v=None):
     slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
     zs = z.T * slope  # (p, n_pairs), one contiguous row per column of z
     dq_dgamma = -(zs @ z)
     df_dgamma = -data.node_pair_sums(zs.T)
     del zs
-    # one factorization of V serves F's column too when a step needs it
+    # one solve of V serves F's column too when a step needs it
     rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
-    v = symmetric_from_pairs(data.n, -slope, -slope_sums, v)
-    try:
-        solved = np.linalg.solve(v, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
+    solved = _solve_degree_jacobian(data.n, slope, slope_sums, rhs, v)
     solved_f = None
     if f is not None:
         solved_f, solved = solved[:, 0], solved[:, 1:]
@@ -210,7 +276,7 @@ class _MomentSystem:
     gamma are the coefficients on the pair covariate columns ``z``; the part
     of the index held fixed is ``offset``; by default all the network's
     covariates with no offset.  With no columns, Q is empty and the system is
-    the degree equations alone.  Its curvatures share the V buffer ``v``.
+    the degree equations alone.  Its curvatures share the (n, n) buffer ``v``.
     """
 
     def __init__(self, data, family, z=None, offset=0.0):
@@ -297,20 +363,24 @@ class _MomentSystem:
 
 def degree_residuals(data, family, beta, gamma):
     """Observed minus expected degrees, one entry per node."""
-    return _MomentSystem(data, get_family(family)).evaluate(*_parameters(data, beta, gamma)).f
+    beta, gamma = _parameters(data, beta, gamma)
+    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).f
 
 
+@_one_blas_thread
 def covariate_residuals(data, family, beta, gamma):
     """Covariate-weighted sum of edge residuals over unordered pairs."""
-    return _MomentSystem(data, get_family(family)).evaluate(*_parameters(data, beta, gamma)).q
+    beta, gamma = _parameters(data, beta, gamma)
+    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).q
 
 
+@_one_blas_thread
 def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     """Solve the degree equations at fixed homophily coefficients.
 
     Takes the Newton steps of ``fit`` with the coefficients held fixed, so
-    each step solves the dense degree Jacobian against the degree residuals
-    F.  ``config.max_outer`` caps the iterates.
+    each step solves the degree Jacobian against the degree residuals F.
+    ``config.max_outer`` caps the iterates.
 
     Returns (beta, iterations, residual_norm) with the residual in the
     infinity norm at or below ``config.tol_f``; ``iterations`` counts the
@@ -333,13 +403,14 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     return state.beta, iterations, state.f_norm
 
 
+@_one_blas_thread
 def profile_jacobian(data, family, beta, gamma):
     """Derivative of the profiled covariate residuals in the coefficients.
 
     The Schur complement H = dQ/dgamma - dF/dgamma^T V^{-1} dF/dgamma of the
-    joint system's analytic blocks, with V^{-1} dF/dgamma from a dense
-    factorization of the degree Jacobian V.  ``fit`` steps the coefficients
-    with H and uses it at the root for bias correction and standard errors.
+    joint system's analytic blocks, with V^{-1} dF/dgamma solved as in ``fit``
+    (see the module docstring).  ``fit`` steps the coefficients with H and
+    uses it at the root for bias correction and standard errors.
     """
     family = get_family(family)
     pi = _pair_index(data, beta, gamma)
@@ -394,6 +465,7 @@ def _standard_errors(data, family, curv, mu):
     return se_beta, np.sqrt(np.diag(cov_gamma))
 
 
+@_one_blas_thread
 def standard_errors(data, family, beta, gamma):
     """Plug-in standard errors at the fitted parameters.
 
@@ -423,6 +495,7 @@ def _diagnostics(data, curv):
     }
 
 
+@_one_blas_thread
 def fit(data, family, config=None):
     """Fit degree and homophily parameters by joint moment matching.
 
@@ -437,10 +510,11 @@ def fit(data, family, config=None):
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and
     ``NonConvergenceError`` when ``config.max_outer`` iterates do not reach
-    the tolerances, a step diverges or stalls, or some pair's mean slope is
-    exactly zero at the converged iterate (saturated means meet the
-    tolerances with no finite root).  Both of the latter carry the trace of
-    the iterates so far.
+    the tolerances, a step diverges or stalls, a conjugate-gradient solve of
+    the degree Jacobian takes 100 steps without converging, or some pair's
+    mean slope is exactly zero at the converged iterate (saturated means meet
+    the tolerances with no finite root).  Both of the latter carry the trace
+    of the iterates so far.
     """
     family = get_family(family)
     config = _solver_config(config)
@@ -454,7 +528,7 @@ def fit(data, family, config=None):
         state, iterations = system.solve(
             beta, gamma, config.tol_f, config.tol_q, config.max_outer, trace
         )
-        slope, m2, _ = family.mean_derivs(state.pi)
+        slope, m2 = family._first_two_derivs(state.pi, state.mu)
         if not slope.min() > 0.0:
             # saturated pairs make F and Q vanish in floats away from any root
             zero = np.count_nonzero(slope <= 0.0)

@@ -74,6 +74,14 @@ class EdgeFamily:
         # mu (1 - mu) for binary edges, mu for counts; the mean slope too where _slope_is_variance
         return mu * (1.0 - mu) if self.support == "binary" else mu
 
+    def _first_two_derivs(self, pi, mu):
+        """``mean_derivs(pi)[:2]``, bit for bit, given the mean ``mu`` at ``pi``; a canonical
+        link takes both from ``mu`` rather than evaluating the mean again."""
+        if not self._slope_is_variance:
+            return self.mean_derivs(pi)[:2]
+        m1 = self._variance_from_mean(mu)
+        return m1, (m1 * (1.0 - 2.0 * mu) if self.support == "binary" else m1)
+
     def sample(self, pi, rng):
         """Draw edge weights with the family's marginal at ``pi``."""
         raise NotImplementedError

@@ -10,6 +10,7 @@ one contiguous run of n*(n-1)/2 values.
 """
 
 import functools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import DataError, _array, _finite, _integer
 
 
 def pair_count(n):
+    """Number of unordered pairs of ``n`` nodes, an integer or an integer array."""
+    n = _integer("n", n, 0)
     return n * (n - 1) // 2
 
 
@@ -129,9 +132,16 @@ class NetworkData:
         return out.reshape((self.n,) + x.shape[1:])
 
 
+def _network(data):
+    """``data``; ``DataError`` unless it is a ``NetworkData``."""
+    if not isinstance(data, NetworkData):
+        raise DataError(f"data must be a NetworkData, got {reprlib.repr(data)}")
+    return data
+
+
 def covariate_magnitude(data):
     """Largest absolute covariate entry over all pairs (design magnitude)."""
-    return float(np.abs(data.covariates).max())
+    return float(np.abs(_network(data).covariates).max())
 
 
 @dataclass(frozen=True)

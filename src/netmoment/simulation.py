@@ -13,14 +13,14 @@ replicate r, attempt a of a study with base seed s uses the stream
 independently of execution order or worker count.
 """
 
-import ctypes
 import os
+import reprlib
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import DataError, DegenerateDegreeError, NetmomentError, _finite, _integer
 from .estimation import _solver_config, check_interior_degrees, fit
 from .families import get_family
@@ -30,14 +30,6 @@ COVARIATE_KINDS = ("iid_pm1", "iid_uniform", "node_distance")
 DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
 _MAX_REGEN_ATTEMPTS = 10
 _CI_LEVEL = 1.96
-# (getter, setter) symbol pairs under which OpenBLAS builds export their
-# thread count: plain, 64-bit-integer, and the two scipy-openblas wheels.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,13 @@ def generate_with_truth(spec, rng=None):
     """Draw one network and return it with its truth parameters.
 
     Draw order is fixed (degree parameters, covariates, then edges) so a
-    given stream always yields the same network.
+    given stream always yields the same network.  ``rng``, a numpy
+    ``Generator``, defaults to the spec's own stream.
     """
+    if not isinstance(spec, GenSpec):
+        raise DataError(f"spec must be a GenSpec, got {reprlib.repr(spec)}")
+    if not isinstance(rng, (np.random.Generator, type(None))):
+        raise DataError(f"rng must be a numpy Generator or None, got {reprlib.repr(rng)}")
     family = get_family(spec.family)
     if rng is None:
         rng = _rng_for(spec)
@@ -255,52 +252,6 @@ def _worker_count(n_tasks):
     return min(cap, n_tasks)
 
 
-def _openblas_thread_controls():
-    """(getter, setter) of the thread count of every loaded OpenBLAS.
-
-    Libraries are found in /proc/self/maps; empty when that file cannot be
-    read or no OpenBLAS is loaded (other BLAS builds are left alone).
-    """
-    try:
-        with open("/proc/self/maps") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                controls.append((getter, setter))
-                break
-    return controls
-
-
-@contextmanager
-def _single_blas_thread():
-    """Run the body with every loaded OpenBLAS set to one thread.
-
-    The setting is process-wide and is inherited by workers forked inside
-    the body, so they never start BLAS threads that would compete with the
-    other workers' fits.  The caller's counts are restored on exit.
-    """
-    controls = _openblas_thread_controls()
-    saved = [getter() for getter, _ in controls]
-    try:
-        for _, setter in controls:
-            setter(1)
-        yield
-    finally:
-        for (_, setter), count in zip(controls, saved):
-            setter(count)
-
-
 @dataclass
 class McStudyReport:
     """Per-replicate records plus per-n summaries of a Monte Carlo study.
@@ -389,7 +340,7 @@ def run_mc_study(specs, replicates, config=None):
 
     tasks = [(spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)]
     workers = _worker_count(len(tasks))
-    with _single_blas_thread():
+    with single_blas_thread():
         if workers > 1:
             # imported here so that a process that never runs a study
             # (the CLI's simulate and fit) does not load the pool machinery

@@ -18,6 +18,7 @@ from hypothesis import settings
 from scipy import optimize
 from scipy.special import expit, ndtr
 
+from netmoment.blas import openblas_thread_controls
 from netmoment.network import NetworkData, pair_indices
 from oracles import degree_residuals_ref, joint_solve_ref
 
@@ -151,3 +152,23 @@ def build_noise_free(name, n, p, seed, gamma=None, beta_scale=0.6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS set to two threads for the test, so that
+    pinning shows whatever the environment's own setting is; the saved
+    counts are restored afterwards."""
+    controls = openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(2)
+    try:
+        if [getter() for getter, _ in controls] != [2] * len(controls):
+            pytest.skip("OpenBLAS cannot be set to two threads here")
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)

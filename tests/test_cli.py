@@ -22,11 +22,18 @@ from conftest import build_instance
 from netmoment import estimation
 from netmoment.cli import main
 from netmoment.dataio import read_pair_covariates, write_edges, write_pair_covariates
+from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 N_NODES = 12
 BETA_STAR = ",".join(["0.2"] * N_NODES)
+
+
+def _network(family, n, seed, gamma_star=(0.5, -0.5)):
+    spec = GenSpec(n=n, family=family, gamma_star=gamma_star,
+                   covariates=CovariateRule(kind="iid_pm1", p=len(gamma_star)), seed=seed)
+    return generate_with_truth(spec).data
 
 
 def _assert_close_json(actual, golden, path="$"):
@@ -345,6 +352,23 @@ class TestFit:
         assert entry["outer"] == 1
         assert entry["halvings"] == 0
 
+    def test_solve_step_cap_exits_two_with_trace(self, tmp_path, monkeypatch):
+        """A degree Jacobian solve that reaches its conjugate-gradient cap ends
+        the fit as non-convergence, with the trace of the iterates so far."""
+        data = _network("logistic", estimation._CG_MIN_N, seed=7)
+        edges, covariates = tmp_path / "edges.csv", tmp_path / "z.csv"
+        write_edges(edges, data)
+        write_pair_covariates(covariates, data)
+        monkeypatch.setattr(estimation, "_CG_MAX_STEPS", 1)
+        out = tmp_path / "fail.json"
+        code = main(["fit", "--family", "logistic", "--edges", str(edges),
+                     "--pair-covariates", str(covariates), "--out", str(out)])
+        assert code == 2
+        payload = json.loads(out.read_text())
+        assert "conjugate-gradient" in payload["error"]
+        (entry,) = payload["trace"]
+        assert entry["outer"] == 1
+
     def test_saturated_fit_exits_two(self, tmp_path):
         # the probit means of this network saturate before the moment
         # equations reach a root, which has no finite location
@@ -625,3 +649,35 @@ def test_cli_processes_load_no_scipy(tmp_path, family):
         loaded = re.findall(r"\|\s+(scipy(?:\.\S*)?)\s*$", proc.stderr, flags=re.MULTILINE)
         assert loaded == [], (argv[0], loaded)
     assert json.loads(Path(prefix + "_fit.json").read_text())["converged"]
+
+
+def test_fit_output_independent_of_blas_threads(tmp_path):
+    """``netmoment fit`` in fresh interpreters writes the same JSON whether
+    OpenBLAS starts with its default thread count or one thread, on a network
+    whose degree Jacobian is solved by LU and on one, with a single covariate,
+    solved by conjugate gradients.  On a 2-CPU host, both networks' results
+    differ in their last digits between one and two threads when the fit is
+    left to the caller's BLAS threads: OpenBLAS splits an LU, a matrix-vector
+    product from about 700 rows and a long dot product by thread count."""
+    networks = {150: (0.5, -0.5), 731: (0.5,)}
+    assert min(networks) < estimation._CG_MIN_N <= max(networks)
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for n, gamma_star in networks.items():
+        edges, covariates = tmp_path / f"edges_{n}.csv", tmp_path / f"z_{n}.csv"
+        data = _network("logistic", n, seed=n, gamma_star=gamma_star)
+        write_edges(edges, data)
+        write_pair_covariates(covariates, data)
+        argv = [sys.executable, "-m", "netmoment.cli", "fit", "--family", "logistic",
+                "--edges", str(edges), "--pair-covariates", str(covariates)]
+        outputs = []
+        for blas in (None, "1"):
+            run_env = env if blas is None else dict(env, OPENBLAS_NUM_THREADS=blas)
+            proc = subprocess.run(argv, env=run_env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["converged"]
+        assert outputs[1] == outputs[0], n

@@ -50,6 +50,7 @@ from netmoment.estimation import (
     standard_errors,
 )
 from netmoment import estimation, network
+from netmoment.blas import single_blas_thread
 from netmoment.dataio import fit_result_to_dict
 from netmoment.families import (
     LogisticFamily,
@@ -731,6 +732,52 @@ class TestJacobianBuffer:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == got
+
+
+class TestDegreeJacobianSolve:
+    """From ``estimation._CG_MIN_N`` nodes on, V is solved column by column by
+    Jacobi-preconditioned conjugate gradients; below, by LU."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_cg_matches_lu(self, name):
+        n = estimation._CG_MIN_N
+        data = _gen_network(name, n, 601)
+        result = fit(data, name)
+        pi = estimation._pair_index(data, result.beta, result.gamma)
+        slope = get_family(name).mean_slope(pi)
+        rhs = np.random.default_rng(0).standard_normal((n, 3))
+        rhs[:, 1] = 0.0
+        solved = estimation._solve_degree_jacobian(n, slope, data.node_pair_sums(slope), rhs)
+        expected = np.linalg.solve(degree_jacobian(data, name, result.beta, result.gamma), rhs)
+        assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not solved[:, 1].any()  # a zero column gives a zero solution
+
+    def test_lu_below_and_cg_from_the_crossover(self, monkeypatch):
+        """Each step solves F's column and the p columns of dF/dgamma, the
+        converged iterate the p columns alone."""
+        columns, cg = [], estimation._cg
+
+        def counting_cg(a, diagonal, b):
+            columns.append(1)
+            return cg(a, diagonal, b)
+
+        monkeypatch.setattr(estimation, "_cg", counting_cg)
+        for n in (estimation._CG_MIN_N - 1, estimation._CG_MIN_N):
+            columns.clear()
+            result = fit(_gen_network("logistic", n, 603), "logistic")
+            expected = 0 if n < estimation._CG_MIN_N else 3 * (result.iterations - 1) + 2
+            assert len(columns) == expected
+
+    def test_one_column_residuals_independent_of_blas_threads(self, two_blas_threads):
+        """With one covariate column, Q is a dot product over all pairs, which
+        OpenBLAS splits by its thread count."""
+        spec = GenSpec(n=700, gamma_star=(0.5,), covariates=CovariateRule(p=1), seed=3)
+        data = generate_with_truth(spec).data
+        beta, gamma = np.zeros(700), np.array([0.5])
+        two = covariate_residuals(data, "logistic", beta, gamma)
+        with single_blas_thread():
+            one = covariate_residuals(data, "logistic", beta, gamma)
+        assert np.array_equal(two, one)
 
 
 def _gen_network(family, n, seed):

@@ -132,6 +132,17 @@ def test_derivatives_match_finite_differences(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_first_two_derivs_from_the_mean_are_bit_exact(name):
+    """fit takes the root's m1 and m2 from the mean it already holds."""
+    fam = get_family(name)
+    grid = np.linspace(-40.0, 40.0, 8001) if name != "poisson" else np.linspace(-40.0, 8.0, 8001)
+    m1, m2 = fam._first_two_derivs(grid, fam.mean(grid))
+    expected = fam.mean_derivs(grid)
+    assert np.array_equal(m1, expected[0])
+    assert np.array_equal(m2, expected[1])
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_slope_strictly_positive(name):
     fam = get_family(name)
     grid = np.linspace(-8.0, 8.0, 201)

@@ -8,6 +8,7 @@ numpy's ``ComplexWarning`` (pyproject.toml turns those into errors).
 
 import functools
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,17 +25,29 @@ from netmoment import (
     bias_correct,
     derive_pair_covariates,
     fit,
+    generate_with_truth,
     get_family,
     homophily_bias,
+    pair_count,
     pair_offset,
+    parse_study_config,
     profile_jacobian,
+    read_edges,
     run_mc_study,
     solve_degree_params,
     standard_errors,
+    write_edges,
+    write_pair_covariates,
 )
 from netmoment.errors import DataError, NetmomentError, _finite, _integer
-from netmoment.estimation import covariate_residuals, degree_jacobian, degree_residuals
+from netmoment.estimation import (
+    check_interior_degrees, covariate_residuals, degree_jacobian, degree_residuals)
+from netmoment.network import covariate_magnitude
 from netmoment.simulation import _worker_count
+
+FIXTURES = Path(__file__).parent / "fixtures"
+EDGES = FIXTURES / "noise_free_edges.csv"
+STUDY_CONFIG = FIXTURES / "golden_study.cfg"
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,8 +61,10 @@ def _estimation_calls():
     data, result = _network()
     beta, gamma = result.beta, result.gamma
     calls = {
+        "fit.data": lambda v: fit(v, "logistic"),
         "fit.family": lambda v: fit(data, v),
         "fit.config": lambda v: fit(data, "logistic", v),
+        "solve_degree_params.data": lambda v: solve_degree_params(v, "logistic", gamma),
         "solve_degree_params.family": lambda v: solve_degree_params(data, v, gamma),
         "solve_degree_params.gamma": lambda v: solve_degree_params(data, "logistic", v),
         "solve_degree_params.config": lambda v: solve_degree_params(data, "logistic", gamma, v),
@@ -63,6 +78,7 @@ def _estimation_calls():
     for function in (standard_errors, homophily_bias, profile_jacobian, degree_jacobian,
                      degree_residuals, covariate_residuals):
         name = function.__name__
+        calls[f"{name}.data"] = lambda v, f=function: f(v, "logistic", beta, gamma)
         calls[f"{name}.family"] = lambda v, f=function: f(data, v, beta, gamma)
         calls[f"{name}.beta"] = lambda v, f=function: f(data, "logistic", v, gamma)
         calls[f"{name}.gamma"] = lambda v, f=function: f(data, "logistic", beta, v)
@@ -101,11 +117,20 @@ CALLS = {
     "run_mc_study.replicates": lambda v: _study(replicates=v),
     "run_mc_study.config": lambda v: _study(config=v),
     "NETMOMENT_THREADS": lambda v: _thread_cap(str(v).replace("\x00", "")),
+    "pair_count": pair_count,
     "pair_offset.i": lambda v: pair_offset(v, 1),
     "pair_offset.j": lambda v: pair_offset(2, v),
     "derive_pair_covariates.node_attrs": lambda v: derive_pair_covariates(v, "match_indicator"),
     "derive_pair_covariates.transform": lambda v: derive_pair_covariates(np.eye(3), v),
     "get_family": get_family,
+    "check_interior_degrees.data": lambda v: check_interior_degrees(v, "logistic"),
+    "covariate_magnitude.data": covariate_magnitude,
+    "write_edges.data": lambda v: write_edges(os.devnull, v),
+    "write_pair_covariates.data": lambda v: write_pair_covariates(os.devnull, v),
+    "generate_with_truth.spec": generate_with_truth,
+    "generate_with_truth.rng": lambda v: generate_with_truth(GenSpec(n=8), v),
+    "read_edges.n": lambda v: read_edges(EDGES, v),
+    "parse_study_config.seed_override": lambda v: parse_study_config(STUDY_CONFIG, v),
 }
 
 WRONG = st.one_of(
@@ -160,7 +185,20 @@ PROBES = {
     "homophily_bias(gamma of length 3)":
         lambda data, fitted: homophily_bias(data, "logistic", fitted.beta, [0.1, 0.2, 0.3]),
     "pair_offset(0, 0.5)": lambda data, fitted: pair_offset(0, 0.5),
+    "pair_count(2.5)": lambda data, fitted: pair_count(2.5),
     "get_family(['logistic'])": lambda data, fitted: get_family(["logistic"]),
+    "fit('x', 'logistic')": lambda data, fitted: fit("x", "logistic"),
+    "standard_errors('x', ...)":
+        lambda data, fitted: standard_errors("x", "logistic", fitted.beta, fitted.gamma),
+    "degree_residuals('x', ...)":
+        lambda data, fitted: degree_residuals("x", "logistic", fitted.beta, fitted.gamma),
+    "write_edges(path, 'x')": lambda data, fitted: write_edges(os.devnull, "x"),
+    "generate_with_truth('x')": lambda data, fitted: generate_with_truth("x"),
+    "generate_with_truth(spec, rng=1)":
+        lambda data, fitted: generate_with_truth(GenSpec(n=8), rng=1),
+    "read_edges(path, 12.0)": lambda data, fitted: read_edges(EDGES, 12.0),  # 12 nodes
+    "parse_study_config(path, seed_override='x')":
+        lambda data, fitted: parse_study_config(STUDY_CONFIG, seed_override="x"),
 }
 
 

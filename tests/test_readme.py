@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from netmoment import estimation
 from netmoment.cli import main
 from netmoment.dataio import _STUDY_KEYS, parse_study_config
 
@@ -51,3 +52,8 @@ def test_named_study_keys_exist():
     keys = set(re.findall(r"`([a-z_]+)`", paragraph))
     assert len(keys) >= 15
     assert keys <= set(_STUDY_KEYS)
+
+
+def test_solver_crossover_matches_the_code():
+    assert f"by LU below {estimation._CG_MIN_N} nodes" in README
+    assert f"after {estimation._CG_MAX_STEPS} of them" in README

@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netmoment import simulation
+from netmoment import blas, simulation
+from netmoment.blas import openblas_thread_controls, single_blas_thread
 from netmoment.errors import DataError, DegenerateDegreeError
 from netmoment.estimation import SolverConfig, check_interior_degrees
 from netmoment.families import get_family
@@ -18,11 +21,9 @@ from netmoment.network import pair_count, pair_offset
 from netmoment.simulation import (
     CovariateRule,
     GenSpec,
-    _openblas_thread_controls,
     _rate_slope,
     _rng_for,
     _run_replicate,
-    _single_blas_thread,
     _worker_count,
     generate_with_truth,
     run_mc_study,
@@ -460,46 +461,48 @@ class TestRunMcStudy:
 
 
 def _blas_counts():
-    return [getter() for getter, _ in _openblas_thread_controls()]
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every loaded OpenBLAS set to two threads for the test, so that
-    pinning shows whatever the environment's own setting is; the saved
-    counts are restored afterwards."""
-    controls = _openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    saved = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(2)
-    try:
-        if _blas_counts() != [2] * len(controls):
-            pytest.skip("OpenBLAS cannot be set to two threads here")
-        yield
-    finally:
-        for (_, setter), count in zip(controls, saved):
-            setter(count)
+    return [getter() for getter, _ in openblas_thread_controls()]
 
 
 class TestSingleBlasThread:
     def test_pins_every_library_and_restores(self, two_blas_threads):
-        with _single_blas_thread():
+        with single_blas_thread():
             assert set(_blas_counts()) == {1}
         assert set(_blas_counts()) == {2}
 
     def test_restores_when_body_raises(self, two_blas_threads):
         with pytest.raises(RuntimeError, match="body"):
-            with _single_blas_thread():
+            with single_blas_thread():
                 raise RuntimeError("body")
         assert set(_blas_counts()) == {2}
 
     def test_no_library_found_does_nothing(self, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(simulation, "_openblas_thread_controls", lambda: [])
-        with _single_blas_thread():
+        monkeypatch.setattr(blas, "_controls", lambda: [])
+        with single_blas_thread():
             assert set(_blas_counts()) == {2}
         assert set(_blas_counts()) == {2}
+
+    def test_nested_blocks_set_and_restore_once(self, two_blas_threads):
+        with single_blas_thread():
+            with single_blas_thread():
+                assert set(_blas_counts()) == {1}
+            assert set(_blas_counts()) == {1}
+        assert set(_blas_counts()) == {2}
+
+    def test_libraries_found_once_until_a_module_is_imported(self, monkeypatch):
+        """A block reads /proc/self/maps only when an import may have loaded
+        another OpenBLAS since the last read."""
+        scans = []
+        monkeypatch.setattr(blas, "openblas_thread_controls", lambda: scans.append(1) or [])
+        monkeypatch.setattr(blas, "_scanned", (None, []))
+        for _ in range(3):
+            with single_blas_thread():
+                pass
+        assert len(scans) == 1
+        monkeypatch.setitem(sys.modules, "netmoment_test_import", types.ModuleType("m"))
+        with single_blas_thread():
+            pass
+        assert len(scans) == 2
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_study_leaves_caller_counts(self, two_blas_threads, monkeypatch, threads):
@@ -516,6 +519,31 @@ class TestSingleBlasThread:
         monkeypatch.setattr(simulation, "_run_replicate", failing)
         with pytest.raises(RuntimeError, match="replicate"):
             run_mc_study([GenSpec(n=12, seed=0)], replicates=1)
+        assert set(_blas_counts()) == {2}
+
+    def test_concurrent_blocks_pin_throughout_and_restore_once(self, two_blas_threads):
+        """Threads entering and leaving blocks at once, more of them than
+        CPUs: each body sees one thread, and the counts come back at the end.
+        Two threads both saving the count before either set it would restore
+        one thread instead."""
+        seen, switch = set(), sys.getswitchinterval()
+
+        def worker():
+            for _ in range(100):
+                with single_blas_thread():
+                    seen.update(_blas_counts())
+
+        threads = [threading.Thread(target=worker) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {1}
         assert set(_blas_counts()) == {2}
 
 
