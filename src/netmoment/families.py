@@ -210,20 +210,23 @@ def get_family(name):
 
 
 def initial_degree_params(family, degrees, n):
-    """Starting values for the degree parameters of the symmetric model.
+    """Starting values for the degree parameters: the first-order moment match.
 
-    Chosen so that a network with all degree parameters equal to the returned
-    value and no homophily component matches the observed mean degree:
-    half the inverse mean function of the degree rate d_i / (n - 1), with the
-    rate clamped away from the boundary for binary families.
+    With no homophily, node i's degree is d_i = sum_{j != i} mu(beta_i + beta_j).
+    Binary families put the link g of the degree rate r_i = d_i / (n - 1),
+    clipped to [delta, 1 - delta] with delta = 1 / (2 (n - 1)), at beta_i plus
+    the partners' mean, half the mean link as in the beta-model:
+    beta_i = g(r_i) - mean_k g(r_k) / 2.  For counts d_i = e^beta_i S_i, where
+    the partners' sum S_i of e^beta_j squares to about (n - 1) mean_k d_k:
+    beta_i = log d_i - log((n - 1) mean_k d_k) / 2, with d_i floored at 0.5 and
+    the mean summed over d_k / n, which cannot overflow.  At equal degrees both
+    give the half-link start, half the link of the common rate: an exact match.
     """
     degrees = np.asarray(degrees, dtype=float)
-    rate = degrees / (n - 1)
     if family.support == "binary":
         delta = 1.0 / (2.0 * (n - 1))
-        rate = np.clip(rate, delta, 1.0 - delta)
-        if family.name == "probit":
-            return 0.5 * _special().ndtri(rate)
-        return 0.5 * (np.log(rate) - np.log1p(-rate))
-    # count support: match e^(2 beta) = d_i / (n - 1), with a floor on d_i
-    return 0.5 * np.log(np.maximum(degrees, 0.5) / (n - 1))
+        rate = np.clip(degrees / (n - 1), delta, 1.0 - delta)
+        link = _special().ndtri(rate) if family.name == "probit" else np.log(rate) - np.log1p(-rate)
+        return link - 0.5 * link.mean()
+    degrees = np.maximum(degrees, 0.5)
+    return np.log(degrees) - 0.5 * (np.log(n - 1) + np.log((degrees / n).sum()))

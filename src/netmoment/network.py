@@ -109,6 +109,10 @@ class NetworkData:
         a.setflags(write=False)
         return a
 
+    @functools.cached_property
+    def _covariate_magnitude(self):
+        return float(np.abs(self.covariates).max())
+
     @property
     def n_pairs(self):
         return pair_count(self.n)
@@ -140,8 +144,8 @@ def _network(data):
 
 
 def covariate_magnitude(data):
-    """Largest absolute covariate entry over all pairs (design magnitude)."""
-    return float(np.abs(_network(data).covariates).max())
+    """Largest absolute covariate entry over all pairs (design magnitude), scanned once."""
+    return _network(data)._covariate_magnitude
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,9 @@ def run_mc_study(specs, replicates, config=None):
         raise DataError("specs must be GenSpec instances")
     config = _solver_config(config)
 
-    tasks = [(spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)]
+    # largest networks first, so that no worker is left with the slowest fit at the end
+    tasks = sorted(((spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)),
+                   key=lambda task: -task[0].n)
     workers = _worker_count(len(tasks))
     with single_blas_thread():
         if workers > 1:

@@ -20,7 +20,7 @@ from scipy.special import expit, ndtr
 
 from netmoment.blas import openblas_thread_controls
 from netmoment.network import NetworkData, pair_indices
-from oracles import degree_residuals_ref, joint_solve_ref
+from oracles import degree_init_ref, degree_residuals_ref, joint_solve_ref
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("CI"):
@@ -62,20 +62,6 @@ def build_instance(name, n, p, seed, gamma=None, beta_scale=0.6, max_tries=50):
         if _interior(adjacency, name):
             return NetworkData(adjacency, z), beta, gamma
     raise RuntimeError(f"no interior instance found for {name} n={n} seed={seed}")
-
-
-def degree_init_ref(name, degrees, n):
-    """Symmetric-model starting values, written out independently."""
-    rate = np.asarray(degrees, dtype=float) / (n - 1)
-    if name in ("logistic", "probit"):
-        delta = 1.0 / (2.0 * (n - 1))
-        rate = np.clip(rate, delta, 1.0 - delta)
-        if name == "probit":
-            from scipy.special import ndtri
-
-            return 0.5 * ndtri(rate)
-        return 0.5 * np.log(rate / (1.0 - rate))
-    return 0.5 * np.log(np.maximum(np.asarray(degrees, dtype=float), 0.5) / (n - 1))
 
 
 def build_fittable_instance(name, n, p, seed, gamma=None, beta_scale=0.6, max_tries=40):

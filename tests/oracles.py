@@ -7,6 +7,8 @@ Deliberately slow; only suitable for the small instances used in tests.
 The damped diagonal fixed point for the degree equations is the reference
 algorithm for the package's Newton solver, and the alternating inner/outer
 solve is the reference for its joint Newton iteration.
+``degree_init_ref`` is the half-link start the package's starting values
+are measured against.
 ``diagonal_inverse_approx`` and ``random_balanced_matrix`` are the
 balanced-class helpers behind acceptance criterion 7.
 The CSV readers at the end parse one field at a time with ``int`` and
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import expit, ndtr
+from scipy.special import expit, ndtr, ndtri
 
 from netmoment.errors import DataError, NonConvergenceError
 from netmoment.estimation import (
@@ -89,6 +91,25 @@ def variance_ref(name, x):
         p = ndtr(x)
         return p * (1.0 - p)
     raise ValueError(name)
+
+
+def degree_init_ref(name, degrees, n):
+    """Half-link starting values of the symmetric model, written out independently.
+
+    Half the link of each node's degree rate d_i / (n - 1), the rate clipped
+    to [1 / (2 (n - 1)), 1 - 1 / (2 (n - 1))] for binary families and d_i
+    floored at 0.5 for counts.  The moment-matched starting values of
+    ``netmoment.families.initial_degree_params`` must reach the same fits
+    from there in fewer iterates; the oracle root finders start here.
+    """
+    rate = np.asarray(degrees, dtype=float) / (n - 1)
+    if name in ("logistic", "probit"):
+        delta = 1.0 / (2.0 * (n - 1))
+        rate = np.clip(rate, delta, 1.0 - delta)
+        if name == "probit":
+            return 0.5 * ndtri(rate)
+        return 0.5 * np.log(rate / (1.0 - rate))
+    return 0.5 * np.log(np.maximum(np.asarray(degrees, dtype=float), 0.5) / (n - 1))
 
 
 def degree_residuals_ref(adjacency, covariates, name, beta, gamma):

@@ -24,8 +24,9 @@ from netmoment.families import get_family
 from netmoment.network import NetworkData, check_diagonally_balanced, pair_count, pair_indices
 from netmoment.simulation import CovariateRule, GenSpec, _rng_for, generate_with_truth, run_mc_study
 
-from conftest import build_fittable_instance, build_noise_free, degree_init_ref
+from conftest import build_fittable_instance, build_noise_free
 from oracles import (
+    degree_init_ref,
     diagonal_inverse_approx,
     fd_jacobian,
     joint_solve_ref,

@@ -337,7 +337,7 @@ class TestFit:
     def test_stall_keeps_trace(self, tmp_path, monkeypatch):
         # the first full Newton step on this network is rejected; with no
         # halvings allowed the fit stalls at its starting point
-        data, _, _ = build_instance("poisson", 10, 2, seed=182)
+        data, _, _ = build_instance("poisson", 10, 2, seed=54)
         edges, covariates = tmp_path / "edges.csv", tmp_path / "z.csv"
         write_edges(edges, data)
         write_pair_covariates(covariates, data)

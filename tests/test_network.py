@@ -227,6 +227,10 @@ class TestCovariateMagnitude:
         expected = max(abs(v) for row in data.covariates for v in row)
         assert covariate_magnitude(data) == expected
 
+    def test_scanned_once_per_network(self):
+        data = _random_network(7, 2, 8)
+        assert covariate_magnitude(data) is covariate_magnitude(data)
+
 
 class TestBalancedClass:
     def test_three_node_member(self):

@@ -445,6 +445,22 @@ class TestRunMcStudy:
         with pytest.raises(DataError, match="NETMOMENT_THREADS"):
             run_mc_study([spec], replicates=2)
 
+    def test_largest_networks_run_first(self, monkeypatch):
+        """Replicates are fitted largest network first; records keep grid order."""
+        monkeypatch.setenv("NETMOMENT_THREADS", "1")
+        sizes = []
+
+        def recording(spec, replicate, config, spec_index):
+            sizes.append(spec.n)
+            return _run_replicate(spec, replicate, config, spec_index)
+
+        monkeypatch.setattr(simulation, "_run_replicate", recording)
+        specs = [GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (10, 16, 12)]
+        report = run_mc_study(specs, replicates=2)
+        assert sizes == [16, 16, 12, 12, 10, 10]
+        assert [(r["n"], r["replicate"]) for r in report.records] == [
+            (10, 0), (10, 1), (12, 0), (12, 1), (16, 0), (16, 1)]
+
     def test_parallel_matches_serial(self, monkeypatch):
         """Replicate records are identical whatever the worker count,
         because every replicate owns a counter-based stream."""
