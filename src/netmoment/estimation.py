@@ -14,10 +14,15 @@ incidental-parameter bias correction and for sandwich standard errors.
 -V is diagonally balanced: the pair slopes off the diagonal and their node
 sums on it.  Its inverse is close to the inverse of its diagonal, so from
 ``_CG_MIN_N`` nodes on each column is solved by conjugate gradients
-preconditioned with that diagonal, in about ten matrix-vector products;
-smaller systems are solved by LU.  A fit allocates one (n, n) buffer: each
-iterate, and the converged one, rewrites every entry of -V there from its
-pair slopes and their node sums.
+preconditioned with that diagonal; smaller systems are solved by LU.  On
+the CG path the steps are inexact Newton steps (Dembo, Eisenstat & Steihaug
+1982; Eisenstat & Walker 1996): each solves V only to the relative residual
+max(1e-14, min(0.01, merit / merit at the start)), the merit being the larger
+max-norm residual, which keeps the convergence quadratic.  Everything that
+feeds a reported statistic (the curvature at the root, ``profile_jacobian``
+and ``standard_errors``) solves to 1e-14.  A fit allocates one (n, n) buffer:
+each iterate, and the converged one, rewrites every entry of -V there from
+its pair slopes and their node sums.
 
 The functions that solve V, and ``covariate_residuals``, run with OpenBLAS
 held to one thread, so their results do not depend on the BLAS thread count:
@@ -172,18 +177,26 @@ class _Curvature(NamedTuple):
 # and CG 0.9-1.4; n = 600, LU 6.4-9.3 and CG 5.0-5.7.
 _CG_MIN_N = 250
 # Cap on the CG steps per column, and the relative residual (2-norm) that ends
-# them.  The Jacobi-preconditioned spectrum clusters near 1: 9-12 steps there.
+# them by default.  The Jacobi-preconditioned spectrum clusters near 1: 9-12
+# steps there.
 _CG_MAX_STEPS = 100
 _CG_RTOL = 1e-14
+# Largest relative residual of a Newton step's CG solve (the forcing term's cap).
+# Six n=600 networks per family: CG steps 948 -> 397 (Poisson), 828 -> 441
+# (logistic), 897 -> 415 (probit) with the same iterates.  54 fits (3 families,
+# 3 covariate rules, n = 250, 400, 1000, 2 seeds): full solves take 294 iterates
+# and 6175 CG steps, this cap 299 and 2923, a cap of 0.1 takes 317 iterates.
+_CG_FORCING_CAP = 0.01
 
 
-def _cg(a, diagonal, b):
+def _cg(a, diagonal, b, rtol=_CG_RTOL):
     """a^{-1} b for a symmetric positive definite ``a`` by conjugate gradients
-    preconditioned with ``a``'s ``diagonal``, one product with ``a`` per step."""
+    preconditioned with ``a``'s ``diagonal``, one product with ``a`` per step,
+    to relative residual ``rtol``."""
     x, r = np.zeros_like(b), b.copy()
     z = r / diagonal
     p, rz = z, r @ z
-    stop, steps = _CG_RTOL**2 * (b @ b), 0
+    stop, steps = rtol**2 * (b @ b), 0
     while r @ r > stop:
         if steps == _CG_MAX_STEPS:
             raise NonConvergenceError(
@@ -200,17 +213,18 @@ def _cg(a, diagonal, b):
     return x
 
 
-def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None):
+def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None, rtol=_CG_RTOL):
     """V^{-1} rhs for the degree Jacobian V of pair ``slope`` with node sums ``slope_sums``.
 
     -V, the slope sums on the diagonal and the slopes off it, is written into
     ``out`` (a new (n, n) array when None).  It is symmetric positive definite
     when every slope is positive.  From ``_CG_MIN_N`` nodes on, each column is
-    solved by preconditioned conjugate gradients; below, by LU.
+    solved by preconditioned conjugate gradients to relative residual
+    ``rtol``; below, exactly by LU.
     """
     a = symmetric_from_pairs(n, slope, slope_sums, out)
     if n >= _CG_MIN_N:
-        solved = np.column_stack([_cg(a, slope_sums, b) for b in rhs.T])
+        solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
     else:
         try:
             solved = np.linalg.solve(a, rhs)
@@ -219,7 +233,7 @@ def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None):
     return np.negative(solved, out=solved)
 
 
-def _curvature(data, z, slope, slope_sums=None, f=None, v=None):
+def _curvature(data, z, slope, slope_sums=None, f=None, v=None, rtol=_CG_RTOL):
     slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
     zs = z.T * slope  # (p, n_pairs), one contiguous row per column of z
     dq_dgamma = -(zs @ z)
@@ -227,7 +241,7 @@ def _curvature(data, z, slope, slope_sums=None, f=None, v=None):
     del zs
     # one solve of V serves F's column too when a step needs it
     rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
-    solved = _solve_degree_jacobian(data.n, slope, slope_sums, rhs, v)
+    solved = _solve_degree_jacobian(data.n, slope, slope_sums, rhs, v, rtol)
     solved_f = None
     if f is not None:
         solved_f, solved = solved[:, 0], solved[:, 1:]
@@ -236,22 +250,26 @@ def _curvature(data, z, slope, slope_sums=None, f=None, v=None):
     return _Curvature(slope, slope_sums, solved, h, scale, solved_f)
 
 
-def _assert_profile_invertible(h, scale):
+def _assert_profile_invertible(h, scale, slack=0.0):
     """Raise unless H is usable for Newton steps and inference.
 
     Collinearity with the degree effects shows up as H tiny relative to
     the unprofiled curvature (scale), or as a degenerate eigenvalue ratio.
+    ``slack`` widens both tests by the error of about slack * scale in H's
+    entries that a solve of V to relative residual ``slack`` leaves.
     """
     if not np.all(np.isfinite(h)):
         raise SingularDesignError("profile Jacobian has non-finite entries")
     magnitude = np.abs(h).max()
-    if magnitude <= 1e-10 * max(scale, np.finfo(float).tiny):
+    scale = max(scale, np.finfo(float).tiny)
+    if magnitude <= (1e-10 + slack) * scale:
         raise SingularDesignError(
             "profile Jacobian vanishes: the covariate design is collinear "
             "with the degree effects"
         )
-    eigvals = np.abs(np.linalg.eigvalsh(0.5 * (h + h.T)))
-    if eigvals.min() <= 1e-12 * eigvals.max():
+    unit = h / magnitude  # its symmetric part cannot overflow
+    eigvals = np.abs(np.linalg.eigvalsh(0.5 * (unit + unit.T)))
+    if eigvals.min() <= 1e-12 * eigvals.max() + slack * scale / magnitude:
         raise SingularDesignError(
             "profile Jacobian is rank deficient: collinear covariate columns"
         )
@@ -280,7 +298,7 @@ class _MomentSystem:
     the degree equations alone.  Its curvatures share the (n, n) buffer ``v``.
     """
 
-    def __init__(self, data, family, z=None, offset=0.0):
+    def __init__(self, data, family, z=None, offset=None):
         self.data = data
         self.family = family
         self.z = data.covariates if z is None else z
@@ -290,7 +308,10 @@ class _MomentSystem:
 
     def evaluate(self, beta, gamma):
         data = self.data
-        pi = beta[data.rows] + beta[data.cols] + self.offset + self.z @ gamma
+        pi = beta.take(data.rows) + beta.take(data.cols)  # take: faster than fancy indexing
+        if self.offset is not None:
+            pi += self.offset
+        pi += self.z @ gamma
         mu = self.family.mean(pi)
         f = data.degrees - data.node_pair_sums(mu)
         q = self.z.T @ (data.pair_weights - mu)
@@ -306,7 +327,7 @@ class _MomentSystem:
         first.  Each iterate gets one entry in ``trace`` when a list is given.
         """
         state = self.evaluate(beta, gamma)
-        halvings = 0
+        start, halvings = state.merit, 0
         for it in range(1, max_steps + 1):
             if trace is not None:
                 trace.append({"outer": it, "residual_degree": state.f_norm,
@@ -320,10 +341,11 @@ class _MomentSystem:
                     f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
                     residual=state.merit,
                 )
-            state, halvings = self._step(state)
+            state, halvings = self._step(state, start)
 
-    def _step(self, state):
-        """One Newton step, halved until the larger residual norm falls."""
+    def _step(self, state, start):
+        """One inexact Newton step (see the module docstring), halved until
+        the larger residual norm falls; ``start`` is the merit at the first iterate."""
         data, family, merit = self.data, self.family, state.merit
         slope = (family._variance_from_mean(state.mu) if family._slope_is_variance  # mean in hand
                  else family.mean_slope(state.pi))
@@ -334,9 +356,20 @@ class _MomentSystem:
                 f"to zero (last residual {merit:.3e})",
                 residual=merit,
             )
-        curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v)
+        rtol = _CG_RTOL  # LU solves exactly
+        if data.n >= _CG_MIN_N:
+            rtol = max(_CG_RTOL, min(_CG_FORCING_CAP, merit / start))
+        curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v, rtol)
         if self.z.shape[1]:
-            _assert_profile_invertible(curv.h, curv.scale)
+            slack = 0.0 if rtol == _CG_RTOL else rtol
+            try:
+                _assert_profile_invertible(curv.h, curv.scale, slack)
+            except SingularDesignError:
+                if not slack:
+                    raise
+                # the inexact H is near a threshold: decide on the exact one
+                curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v)
+                _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
         d_gamma = -np.linalg.solve(curv.h, state.q - curv.solved.T @ state.f)
         d_beta = -(curv.solved_f + curv.solved @ d_gamma)
@@ -501,12 +534,16 @@ def fit(data, family, config=None):
     """Fit degree and homophily parameters by joint moment matching.
 
     Takes safeguarded Newton steps on the degree and covariate residuals in
-    (beta, gamma) together (see the module docstring).  A step longer than
-    1e6 in the max-norm is scaled down to it, and a step is halved until the
-    larger of the two residual norms falls.  Convergence means both norms
-    are at or below their tolerances at the same iterate; the curvature
-    there yields the bias-corrected coefficients, the standard errors, and
-    the solver diagnostics.  The trace holds one entry per iterate.
+    (beta, gamma) together (see the module docstring).  From 250 nodes on
+    they are inexact: a step solves the degree Jacobian by conjugate
+    gradients only to the relative residual max(1e-14, min(0.01, merit /
+    merit at the start)); the curvature at the root is solved to 1e-14.  A
+    step longer than 1e6 in the max-norm is scaled down to it, and a step is
+    halved until the larger of the two residual norms falls.  Convergence
+    means both norms are at or below their tolerances at the same iterate;
+    the curvature there yields the bias-corrected coefficients, the standard
+    errors, and the solver diagnostics.  The trace holds one entry per
+    iterate.
 
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,19 @@ class TestFit:
         with pytest.raises(DegenerateDegreeError, match="overflow"):
             solve_degree_params(data, name, np.zeros(1))
 
+    def test_weights_near_the_float_limit_stall(self):
+        """H's symmetric part is formed from H scaled to unit size, so weights
+        near the float limit end in a stall, not in an overflow read as
+        collinear columns."""
+        n = 20
+        a = np.full((n, n), 1e306)
+        np.fill_diagonal(a, 0.0)
+        z = np.random.default_rng(0).normal(size=(n * (n - 1) // 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergenceError, match="stalled"):
+                fit(NetworkData(a, z), "poisson")
+
     def test_outer_cap_raises_with_trace(self):
         data, _, _ = build_instance("logistic", 10, 2, seed=191)
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -794,12 +808,13 @@ class TestDegreeJacobianSolve:
 
     def test_lu_below_and_cg_from_the_crossover(self, monkeypatch):
         """Each step solves F's column and the p columns of dF/dgamma, the
-        converged iterate the p columns alone."""
+        first at the forcing term's cap, and the converged iterate the p
+        columns alone, to ``_CG_RTOL``."""
         columns, cg = [], estimation._cg
 
-        def counting_cg(a, diagonal, b):
-            columns.append(1)
-            return cg(a, diagonal, b)
+        def counting_cg(a, diagonal, b, rtol):
+            columns.append(rtol)
+            return cg(a, diagonal, b, rtol)
 
         monkeypatch.setattr(estimation, "_cg", counting_cg)
         for n in (estimation._CG_MIN_N - 1, estimation._CG_MIN_N):
@@ -807,6 +822,22 @@ class TestDegreeJacobianSolve:
             result = fit(_gen_network("logistic", n, 603), "logistic")
             expected = 0 if n < estimation._CG_MIN_N else 3 * (result.iterations - 1) + 2
             assert len(columns) == expected
+        assert columns[:3] == [estimation._CG_FORCING_CAP] * 3
+        assert columns[-2:] == [estimation._CG_RTOL] * 2
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_rank_check_fires_at_the_first_iterate(self, name):
+        """An inexact H near the rank threshold is decided on the exact one,
+        so a node-level column is caught before the first step."""
+        n = estimation._CG_MIN_N
+        data = _gen_network(name, n, 605)
+        x = np.random.default_rng(605).normal(size=n)
+        rows, cols = pair_indices(n)
+        z = np.column_stack([x[rows] + x[cols], data.covariates[:, 0]])
+        with pytest.raises(SingularDesignError, match="rank deficient") as excinfo:
+            fit(NetworkData(data.adjacency, z), name)
+        (entry,) = excinfo.value.trace
+        assert entry["outer"] == 1
 
     def test_one_column_residuals_independent_of_blas_threads(self, two_blas_threads):
         """With one covariate column, Q is a dot product over all pairs, which
@@ -818,6 +849,36 @@ class TestDegreeJacobianSolve:
         with single_blas_thread():
             one = covariate_residuals(data, "logistic", beta, gamma)
         assert np.array_equal(two, one)
+
+
+class TestInexactNewton:
+    """Newton steps solve V only to the forcing term; against steps that solve
+    it to ``_CG_RTOL`` they take the same iterates and reach the same fit in
+    at most 60% of the conjugate-gradient steps."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_same_fit_in_fewer_cg_steps(self, name, monkeypatch):
+        steps, cg = [], estimation._cg
+
+        class Counted:
+            def __init__(self, a):
+                self.a = a
+
+            def __matmul__(self, p):
+                steps.append(1)
+                return self.a @ p
+
+        monkeypatch.setattr(estimation, "_cg",
+                            lambda a, diagonal, b, rtol: cg(Counted(a), diagonal, b, rtol))
+        data = _gen_network(name, 600, 607)
+        inexact, inexact_steps = fit(data, name), len(steps)
+        steps.clear()
+        monkeypatch.setattr(estimation, "_CG_FORCING_CAP", estimation._CG_RTOL)
+        exact, exact_steps = fit(data, name), len(steps)
+        assert inexact.iterations == exact.iterations
+        assert inexact_steps <= 0.6 * exact_steps
+        for key in ("gamma", "gamma_bc", "se_gamma"):
+            assert_allclose(getattr(inexact, key), getattr(exact, key), rtol=1e-9, err_msg=key)
 
 
 def _gen_network(family, n, seed):

@@ -56,4 +56,5 @@ def test_named_study_keys_exist():
 
 def test_solver_crossover_matches_the_code():
     assert f"by LU below {estimation._CG_MIN_N} nodes" in README
-    assert f"after {estimation._CG_MAX_STEPS} of them" in README
+    assert f"after {estimation._CG_MAX_STEPS} CG steps" in README
+    assert f"max({estimation._CG_RTOL}, min({estimation._CG_FORCING_CAP}, r/r₁))" in README
