@@ -5,10 +5,9 @@ matrices: strictly positive off-diagonal entries with each diagonal entry
 equal to its row's off-diagonal sum.  For that class the inverse is close
 to the inverse of the diagonal alone, and the gap shrinks as the network
 grows.  The consistency argument for the moment estimator rests on this.
-The package's Newton solver puts it to work: from 250 nodes on it solves
-the Jacobian by conjugate gradients preconditioned with the diagonal, which
-converge in about ten steps because of it.  Smaller systems are solved by LU,
-which is faster there.
+The package's Newton solver puts it to work: it solves the Jacobian by
+conjugate gradients preconditioned with the diagonal, which converge in
+about ten steps because of it.
 
 This script verifies class membership for Jacobians from all three edge
 families and then measures the max-norm gap between the true inverse and

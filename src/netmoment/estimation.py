@@ -12,23 +12,23 @@ H at the root doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
 
 -V is diagonally balanced: the pair slopes off the diagonal and their node
-sums on it.  Its inverse is close to the inverse of its diagonal, so from
-``_CG_MIN_N`` nodes on each column is solved by conjugate gradients
-preconditioned with that diagonal; smaller systems are solved by LU.  On
-the CG path the steps are inexact Newton steps (Dembo, Eisenstat & Steihaug
-1982; Eisenstat & Walker 1996): each solves V only to the relative residual
+sums on it.  Its inverse is close to the inverse of its diagonal, so each
+column is solved by conjugate gradients preconditioned with that diagonal.
+The steps are inexact Newton steps (Dembo, Eisenstat & Steihaug 1982;
+Eisenstat & Walker 1996): each solves V only to the relative residual
 max(1e-14, min(0.01, merit / merit at the start)), the merit being the larger
-max-norm residual, which keeps the convergence quadratic.  Everything that
-feeds a reported statistic (the curvature at the root, ``profile_jacobian``
-and ``standard_errors``) solves to 1e-14.  A fit allocates one (n, n) buffer:
-each iterate, and the converged one, rewrites every entry of -V there from
-its pair slopes and their node sums.
+max-norm residual, which keeps the convergence quadratic; a step whose solve
+reaches the step cap uses the iterate there, and the line search judges it.
+Everything that feeds a reported statistic (the curvature at the root,
+``profile_jacobian`` and ``standard_errors``) solves to 1e-14.  A fit
+allocates one (n, n) buffer: each iterate, and the converged one, rewrites
+every entry of -V there from its pair slopes and their node sums.
 
 The functions that solve V, and ``covariate_residuals``, run with OpenBLAS
 held to one thread, so their results do not depend on the BLAS thread count:
-OpenBLAS splits an LU, a matrix-vector product from about 700 rows, and a dot
-product over more than 10000 pairs (a single covariate column) by its thread
-count, which changes the rounding.
+OpenBLAS splits a matrix-vector product from about 700 rows and a dot product
+over more than 10000 pairs (a single covariate column) by its thread count,
+which changes the rounding.
 """
 
 from dataclasses import dataclass, field
@@ -171,11 +171,6 @@ class _Curvature(NamedTuple):
     solved_f: np.ndarray = None
 
 
-# Smallest n whose degree Jacobian is solved by conjugate gradients, not LU.
-# Median ms for 3 columns with -V's assembly, one thread of a 2-CPU host, over
-# the three families: n = 200, LU 0.6-1.0 and CG 0.8-1.1; n = 250, LU 1.3-1.5
-# and CG 0.9-1.4; n = 600, LU 6.4-9.3 and CG 5.0-5.7.
-_CG_MIN_N = 250
 # Cap on the CG steps per column, and the relative residual (2-norm) that ends
 # them by default.  The Jacobi-preconditioned spectrum clusters near 1: 9-12
 # steps there.
@@ -191,19 +186,27 @@ _CG_FORCING_CAP = 0.01
 
 def _cg(a, diagonal, b, rtol=_CG_RTOL):
     """a^{-1} b for a symmetric positive definite ``a`` by conjugate gradients
-    preconditioned with ``a``'s ``diagonal``, one product with ``a`` per step,
-    to relative residual ``rtol``."""
+    preconditioned with ``a``'s positive ``diagonal``, one product with ``a``
+    per step, to relative residual ``rtol``.  The system is divided by the
+    power of two just above the largest diagonal entry, exactly, so squared
+    norms stay in the float range.  At ``_CG_MAX_STEPS`` a solve looser than
+    ``_CG_RTOL`` (a Newton step's) returns its iterate; one to ``_CG_RTOL``
+    raises ``NonConvergenceError``."""
+    shift = -np.frexp(diagonal.max())[1]
+    diagonal, b = np.ldexp(diagonal, shift), np.ldexp(b, shift)
     x, r = np.zeros_like(b), b.copy()
     z = r / diagonal
     p, rz = z, r @ z
     stop, steps = rtol**2 * (b @ b), 0
     while r @ r > stop:
         if steps == _CG_MAX_STEPS:
+            if rtol > _CG_RTOL:
+                break
             raise NonConvergenceError(
                 f"degree Jacobian solve did not converge within {steps} conjugate-gradient "
                 f"steps (relative residual {np.sqrt((r @ r) / (b @ b)):.3e})")
         steps += 1
-        ap = a @ p
+        ap = np.ldexp(a @ p, shift)
         alpha = rz / (p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -218,18 +221,15 @@ def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None, rtol=_CG_RTOL):
 
     -V, the slope sums on the diagonal and the slopes off it, is written into
     ``out`` (a new (n, n) array when None).  It is symmetric positive definite
-    when every slope is positive.  From ``_CG_MIN_N`` nodes on, each column is
-    solved by preconditioned conjugate gradients to relative residual
-    ``rtol``; below, exactly by LU.
+    when every slope is positive.  Each column is solved by ``_cg`` to
+    relative residual ``rtol``.  Raises ``SingularDesignError`` when some
+    node's slopes sum to zero, so that its row of V vanishes.
     """
+    if not slope_sums.min() > 0.0:
+        raise SingularDesignError("degree Jacobian is singular: the mean slopes of nodes "
+                                  f"{np.nonzero(~(slope_sums > 0.0))[0].tolist()} sum to zero")
     a = symmetric_from_pairs(n, slope, slope_sums, out)
-    if n >= _CG_MIN_N:
-        solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
-    else:
-        try:
-            solved = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(f"degree Jacobian is singular: {exc}") from exc
+    solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
     return np.negative(solved, out=solved)
 
 
@@ -356,9 +356,7 @@ class _MomentSystem:
                 f"to zero (last residual {merit:.3e})",
                 residual=merit,
             )
-        rtol = _CG_RTOL  # LU solves exactly
-        if data.n >= _CG_MIN_N:
-            rtol = max(_CG_RTOL, min(_CG_FORCING_CAP, merit / start))
+        rtol = max(_CG_RTOL, min(_CG_FORCING_CAP, merit / start))
         curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v, rtol)
         if self.z.shape[1]:
             slack = 0.0 if rtol == _CG_RTOL else rtol
@@ -534,25 +532,25 @@ def fit(data, family, config=None):
     """Fit degree and homophily parameters by joint moment matching.
 
     Takes safeguarded Newton steps on the degree and covariate residuals in
-    (beta, gamma) together (see the module docstring).  From 250 nodes on
-    they are inexact: a step solves the degree Jacobian by conjugate
-    gradients only to the relative residual max(1e-14, min(0.01, merit /
-    merit at the start)); the curvature at the root is solved to 1e-14.  A
-    step longer than 1e6 in the max-norm is scaled down to it, and a step is
-    halved until the larger of the two residual norms falls.  Convergence
-    means both norms are at or below their tolerances at the same iterate;
-    the curvature there yields the bias-corrected coefficients, the standard
-    errors, and the solver diagnostics.  The trace holds one entry per
-    iterate.
+    (beta, gamma) together (see the module docstring).  The steps are
+    inexact: a step solves the degree Jacobian by conjugate gradients only to
+    the relative residual max(1e-14, min(0.01, merit / merit at the start)),
+    stopping after 100 steps a column when that residual is above 1e-14; the
+    curvature at the root is solved to 1e-14.  A step longer than 1e6 in the
+    max-norm is scaled down to it, and a step is halved until the larger of
+    the two residual norms falls.  Convergence means both norms are at or
+    below their tolerances at the same iterate; the curvature there yields
+    the bias-corrected coefficients, the standard errors, and the solver
+    diagnostics.  The trace holds one entry per iterate.
 
     Raises ``DegenerateDegreeError`` for boundary degrees,
     ``SingularDesignError`` for collinear covariate designs, and
     ``NonConvergenceError`` when ``config.max_outer`` iterates do not reach
     the tolerances, a step diverges or stalls, a conjugate-gradient solve of
-    the degree Jacobian takes 100 steps without converging, or some pair's
-    mean slope is exactly zero at the converged iterate (saturated means meet
-    the tolerances with no finite root).  Both of the latter carry the trace
-    of the iterates so far.
+    the degree Jacobian to 1e-14 takes 100 steps without converging, or some
+    pair's mean slope is exactly zero at the converged iterate (saturated
+    means meet the tolerances with no finite root).  Both of the latter carry
+    the trace of the iterates so far.
     """
     family = get_family(family)
     config = _solver_config(config)

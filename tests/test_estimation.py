@@ -662,22 +662,21 @@ class TestCurvaturePass:
     def test_degree_jacobian_built_and_solved_once_per_iterate(self, monkeypatch):
         data, _, _ = build_instance("logistic", 12, 2, seed=221)
         builds, solves = [], []
-        assemble, solve = estimation.symmetric_from_pairs, np.linalg.solve
+        assemble, solve = estimation.symmetric_from_pairs, estimation._solve_degree_jacobian
 
         def counting_assemble(n, pair_values, diagonal, out=None):
             builds.append(1)
             return assemble(n, pair_values, diagonal, out)
 
-        def counting_solve(a, b):
-            if np.shape(a) == (data.n, data.n):
-                solves.append(1)
-            return solve(a, b)
+        def counting_solve(*args):
+            solves.append(1)
+            return solve(*args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("fit must not test the balanced class")
 
         monkeypatch.setattr(estimation, "symmetric_from_pairs", counting_assemble)
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(estimation, "_solve_degree_jacobian", counting_solve)
         monkeypatch.setattr(network, "check_diagonally_balanced", forbidden)
         monkeypatch.setattr(estimation, "check_diagonally_balanced", forbidden)
         result = fit(data, "logistic")
@@ -789,24 +788,24 @@ class TestJacobianBuffer:
 
 
 class TestDegreeJacobianSolve:
-    """From ``estimation._CG_MIN_N`` nodes on, V is solved column by column by
-    Jacobi-preconditioned conjugate gradients; below, by LU."""
+    """V is solved column by column by Jacobi-preconditioned conjugate
+    gradients, scaled by a power of two, at every network size."""
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_cg_matches_lu(self, name):
-        n = estimation._CG_MIN_N
-        data = _gen_network(name, n, 601)
-        result = fit(data, name)
-        pi = estimation._pair_index(data, result.beta, result.gamma)
-        slope = get_family(name).mean_slope(pi)
-        rhs = np.random.default_rng(0).standard_normal((n, 3))
-        rhs[:, 1] = 0.0
-        solved = estimation._solve_degree_jacobian(n, slope, data.node_pair_sums(slope), rhs)
-        expected = np.linalg.solve(degree_jacobian(data, name, result.beta, result.gamma), rhs)
-        assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert not solved[:, 1].any()  # a zero column gives a zero solution
+        for n in (12, 100, 250):
+            data = _gen_network(name, n, 601)
+            result = fit(data, name)
+            pi = estimation._pair_index(data, result.beta, result.gamma)
+            slope = get_family(name).mean_slope(pi)
+            rhs = np.random.default_rng(0).standard_normal((n, 3))
+            rhs[:, 1] = 0.0
+            solved = estimation._solve_degree_jacobian(n, slope, data.node_pair_sums(slope), rhs)
+            expected = np.linalg.solve(degree_jacobian(data, name, result.beta, result.gamma), rhs)
+            assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max(), n
+            assert not solved[:, 1].any()  # a zero column gives a zero solution
 
-    def test_lu_below_and_cg_from_the_crossover(self, monkeypatch):
+    def test_columns_per_step(self, monkeypatch):
         """Each step solves F's column and the p columns of dF/dgamma, the
         first at the forcing term's cap, and the converged iterate the p
         columns alone, to ``_CG_RTOL``."""
@@ -817,19 +816,57 @@ class TestDegreeJacobianSolve:
             return cg(a, diagonal, b, rtol)
 
         monkeypatch.setattr(estimation, "_cg", counting_cg)
-        for n in (estimation._CG_MIN_N - 1, estimation._CG_MIN_N):
+        for n in (12, 250):
             columns.clear()
             result = fit(_gen_network("logistic", n, 603), "logistic")
-            expected = 0 if n < estimation._CG_MIN_N else 3 * (result.iterations - 1) + 2
-            assert len(columns) == expected
-        assert columns[:3] == [estimation._CG_FORCING_CAP] * 3
-        assert columns[-2:] == [estimation._CG_RTOL] * 2
+            assert len(columns) == 3 * (result.iterations - 1) + 2, n
+            assert columns[:3] == [estimation._CG_FORCING_CAP] * 3
+            assert columns[-2:] == [estimation._CG_RTOL] * 2
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    def test_solution_invariant_to_power_of_two_scaling(self, scale):
+        """Scaling V and the right-hand side by a power of two leaves every
+        bit of the solution, however far the scale is from 1."""
+        n = 250
+        data = _gen_network("poisson", n, 609)
+        slope = get_family("poisson").mean_slope(
+            estimation._pair_index(data, np.zeros(n), np.array([0.5, -0.5])))
+        slope_sums = data.node_pair_sums(slope)
+        rhs = np.random.default_rng(609).standard_normal((n, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = estimation._solve_degree_jacobian(
+                n, slope * scale, slope_sums * scale, rhs * scale)
+        assert np.array_equal(scaled, estimation._solve_degree_jacobian(n, slope, slope_sums, rhs))
+
+    def test_far_start_runs_without_overflow(self):
+        """Residuals near 1e156 from a Poisson start far above the root do
+        not overflow the solve's squared norms: the solver steps on."""
+        data = _gen_network("poisson", 250, 609)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergenceError, match="within 3 iterations"):
+                solve_degree_params(data, "poisson", np.array([0.5, -0.5]),
+                                    SolverConfig(max_outer=3), beta_init=np.full(250, 180.0))
+
+    @pytest.mark.parametrize("n", [20, 250])
+    def test_vanishing_slope_sum_is_singular(self, n):
+        """A node whose mean slopes all underflow leaves a zero row in V."""
+        data = _gen_network("logistic", n, 611)
+        beta = np.zeros(n)
+        beta[0] = 800.0
+        gamma = np.array([0.5, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for function in (profile_jacobian, standard_errors):
+                with pytest.raises(SingularDesignError, match="degree Jacobian is singular"):
+                    function(data, "logistic", beta, gamma)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_rank_check_fires_at_the_first_iterate(self, name):
         """An inexact H near the rank threshold is decided on the exact one,
         so a node-level column is caught before the first step."""
-        n = estimation._CG_MIN_N
+        n = 250
         data = _gen_network(name, n, 605)
         x = np.random.default_rng(605).normal(size=n)
         rows, cols = pair_indices(n)

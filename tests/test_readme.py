@@ -54,7 +54,6 @@ def test_named_study_keys_exist():
     assert keys <= set(_STUDY_KEYS)
 
 
-def test_solver_crossover_matches_the_code():
-    assert f"by LU below {estimation._CG_MIN_N} nodes" in README
+def test_solver_constants_match_the_code():
     assert f"after {estimation._CG_MAX_STEPS} CG steps" in README
     assert f"max({estimation._CG_RTOL}, min({estimation._CG_FORCING_CAP}, r/r₁))" in README
