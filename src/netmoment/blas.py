@@ -1,10 +1,11 @@
 """OpenBLAS thread control.
 
-OpenBLAS splits a dense LU and a matrix product across its threads, and how it
-splits them changes the rounding, so results change in their last digits with
-the thread count.  ``single_blas_thread`` runs a block with every loaded
-OpenBLAS set to one thread.  Other BLAS builds are left alone.  The state
-below is module-level because the thread count it guards is process-wide.
+OpenBLAS splits a matrix-vector product and a long dot product across its
+threads, and how it splits them changes the rounding, so results change in
+their last digits with the thread count.  ``single_blas_thread`` runs a block
+with every loaded OpenBLAS set to one thread.  Other BLAS builds are left
+alone.  The state below is module-level because the thread count it guards is
+process-wide.
 """
 
 import ctypes

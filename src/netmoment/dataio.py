@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError, _finite, _integer
 from .estimation import SolverConfig
 from .network import _network, pair_count, pair_indices, pair_offset, symmetric_from_pairs
-from .simulation import CovariateRule, GenSpec
+from .simulation import _COVERAGE_FIELDS, CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
 # the bytes of a body whose numbers numpy's and Python's parsers read alike
@@ -316,44 +316,37 @@ def fit_result_csv_rows(result, bias_correct=True):
     return rows
 
 
+def _csv_cell(value):
+    """A record value as a CSV cell: blank for None, 0 or 1 for a flag, repr for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
 def report_csv_rows(report):
-    """One flat CSV row per replicate; coverage expands per coefficient."""
+    """One flat CSV row per replicate, its columns in record order; each coverage
+    field expands to one column per coefficient, blank past a record's own."""
     p = 0
     for record in report.records:
-        if record["cover_gamma"] is not None:
-            p = max(p, len(record["cover_gamma"]))
-    header = [
-        "spec_index",
-        "n",
-        "replicate",
-        "failed",
-        "failure_reason",
-        "err_beta",
-        "err_gamma",
-        "err_gamma_bc",
-    ]
-    header += [f"cover_gamma_{k}" for k in range(1, p + 1)]
-    header += [f"cover_gamma_bc_{k}" for k in range(1, p + 1)]
-    rows = [header]
+        for key in _COVERAGE_FIELDS:
+            p = max(p, len(record[key] or []))
+    rows = []
     for record in report.records:
-        row = [
-            record["spec_index"],
-            record["n"],
-            record["replicate"],
-            int(record["failed"]),
-            record["failure_reason"],
-        ]
-        for key in ("err_beta", "err_gamma", "err_gamma_bc"):
-            row.append("" if record[key] is None else repr(record[key]))
-        for key in ("cover_gamma", "cover_gamma_bc"):
-            values = record[key]
-            for k in range(p):
-                if values is None or k >= len(values):
-                    row.append("")
-                else:
-                    row.append(int(values[k]))
+        row = {}
+        for key, value in record.items():
+            if key in _COVERAGE_FIELDS:
+                flags = value or []
+                for k, flag in enumerate(flags + [None] * (p - len(flags)), start=1):
+                    row[f"{key}_{k}"] = _csv_cell(flag)
+            else:
+                row[key] = _csv_cell(value)
         rows.append(row)
-    return rows
+    header = list(rows[0]) if rows else []
+    return [header] + [list(row.values()) for row in rows]
 
 
 def _bool(text):

@@ -31,6 +31,14 @@ DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
 _MAX_REGEN_ATTEMPTS = 10
 _CI_LEVEL = 1.96
 
+# a replicate record's error fields (the max-norm errors of beta-hat, gamma-hat
+# and gamma-hat_bc) and coverage fields (per coefficient, whether the 95%
+# interval around gamma-hat or gamma-hat_bc covers the truth), each with the
+# key of its per-n summary: a median, and an empirical coverage rate
+_ERROR_FIELDS = {"err_beta": "median_err_beta", "err_gamma": "median_err_gamma",
+                 "err_gamma_bc": "median_err_gamma_bc"}
+_COVERAGE_FIELDS = {"cover_gamma": "coverage_gamma", "cover_gamma_bc": "coverage_gamma_bc"}
+
 
 @dataclass(frozen=True)
 class CovariateRule:
@@ -189,50 +197,37 @@ def generate_with_truth(spec, rng=None):
 def _run_replicate(spec, replicate, config, spec_index=0):
     """Generate (with regeneration on degenerate degrees) and fit once."""
     family = get_family(spec.family)
-    synth = None
-    for attempt in range(_MAX_REGEN_ATTEMPTS):
-        candidate = generate_with_truth(spec, _rng_for(spec, replicate, attempt))
-        try:
-            check_interior_degrees(candidate.data, family)
-        except DegenerateDegreeError:
-            continue
-        synth = candidate
-        break
     record = {
         "spec_index": spec_index,
         "n": spec.n,
         "replicate": replicate,
-        "failed": False,
-        "failure_reason": "",
-        "err_beta": None,
-        "err_gamma": None,
-        "err_gamma_bc": None,
-        "cover_gamma": None,
-        "cover_gamma_bc": None,
+        "failed": True,
+        "failure_reason": "degenerate degrees in all regeneration attempts",
     }
-    if synth is None:
-        record["failed"] = True
-        record["failure_reason"] = "degenerate degrees in all regeneration attempts"
+    record.update(dict.fromkeys([*_ERROR_FIELDS, *_COVERAGE_FIELDS]))
+    for attempt in range(_MAX_REGEN_ATTEMPTS):
+        synth = generate_with_truth(spec, _rng_for(spec, replicate, attempt))
+        try:
+            check_interior_degrees(synth.data, family)
+        except DegenerateDegreeError:
+            continue
+        break
+    else:
         return record
     try:
         result = fit(synth.data, family, config)
     except NetmomentError as exc:
-        record["failed"] = True
         record["failure_reason"] = f"{type(exc).__name__}: {exc}"
         return record
-    record["err_beta"] = float(np.abs(result.beta - synth.beta_star).max())
-    record["err_gamma"] = float(np.abs(result.gamma - synth.gamma_star).max())
-    record["err_gamma_bc"] = float(np.abs(result.gamma_bc - synth.gamma_star).max())
+    record.update(failed=False, failure_reason="")
+    estimates = (result.beta, result.gamma, result.gamma_bc)
+    truths = (synth.beta_star, synth.gamma_star, synth.gamma_star)
+    for key, estimate, truth in zip(_ERROR_FIELDS, estimates, truths):
+        record[key] = float(np.abs(estimate - truth).max())
     if not spec.noise_free:
         half = _CI_LEVEL * result.se_gamma
-        record["cover_gamma"] = [
-            bool(abs(g - t) <= h)
-            for g, t, h in zip(result.gamma, synth.gamma_star, half)
-        ]
-        record["cover_gamma_bc"] = [
-            bool(abs(g - t) <= h)
-            for g, t, h in zip(result.gamma_bc, synth.gamma_star, half)
-        ]
+        for key, estimate in zip(_COVERAGE_FIELDS, (result.gamma, result.gamma_bc)):
+            record[key] = (np.abs(estimate - synth.gamma_star) <= half).tolist()
     return record
 
 
@@ -278,26 +273,12 @@ class McStudyReport:
 
 def _summarize(spec, records):
     ok = [r for r in records if not r["failed"]]
-    summary = {
-        "n": spec.n,
-        "replicates": len(records),
-        "failures": len(records) - len(ok),
-        "median_err_beta": None,
-        "median_err_gamma": None,
-        "median_err_gamma_bc": None,
-        "coverage_gamma": None,
-        "coverage_gamma_bc": None,
-    }
-    if not ok:
-        return summary
-    summary["median_err_beta"] = float(np.median([r["err_beta"] for r in ok]))
-    summary["median_err_gamma"] = float(np.median([r["err_gamma"] for r in ok]))
-    summary["median_err_gamma_bc"] = float(np.median([r["err_gamma_bc"] for r in ok]))
-    if not spec.noise_free:
-        cov = np.array([r["cover_gamma"] for r in ok], dtype=float)
-        cov_bc = np.array([r["cover_gamma_bc"] for r in ok], dtype=float)
-        summary["coverage_gamma"] = cov.mean(axis=0).tolist()
-        summary["coverage_gamma_bc"] = cov_bc.mean(axis=0).tolist()
+    summary = {"n": spec.n, "replicates": len(records), "failures": len(records) - len(ok)}
+    for key, median in _ERROR_FIELDS.items():
+        summary[median] = float(np.median([r[key] for r in ok])) if ok else None
+    covered = bool(ok) and not spec.noise_free
+    for key, coverage in _COVERAGE_FIELDS.items():
+        summary[coverage] = np.mean([r[key] for r in ok], axis=0).tolist() if covered else None
     return summary
 
 
@@ -339,8 +320,8 @@ def run_mc_study(specs, replicates, config=None):
     config = _solver_config(config)
 
     # largest networks first, so that no worker is left with the slowest fit at the end
-    tasks = sorted(((spec, r, k) for k, spec in enumerate(specs) for r in range(replicates)),
-                   key=lambda task: -task[0].n)
+    tasks = [(spec, r, config, k) for k, spec in enumerate(specs) for r in range(replicates)]
+    tasks.sort(key=lambda task: -task[0].n)
     workers = _worker_count(len(tasks))
     with single_blas_thread():
         if workers > 1:
@@ -360,42 +341,25 @@ def run_mc_study(specs, replicates, config=None):
             # workers inherit the one-thread setting only when forked
             fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                records = list(
-                    pool.map(
-                        _run_replicate,
-                        [t[0] for t in tasks],
-                        [t[1] for t in tasks],
-                        [config] * len(tasks),
-                        [t[2] for t in tasks],
-                        chunksize=max(1, len(tasks) // (4 * workers)),
-                    )
-                )
+                chunksize = max(1, len(tasks) // (4 * workers))
+                records = list(pool.map(_run_replicate, *zip(*tasks), chunksize=chunksize))
         else:
-            records = [_run_replicate(spec, r, config, k) for spec, r, k in tasks]
+            records = list(map(_run_replicate, *zip(*tasks)))
     records.sort(key=lambda r: (r["n"], r["spec_index"], r["replicate"]))
 
-    report = McStudyReport(
+    summaries = [_summarize(spec, [r for r in records if r["spec_index"] == k])
+                 for k, spec in enumerate(specs)]
+    n_grid = [spec.n for spec in specs]
+    return McStudyReport(
         family=specs[0].family,
-        n_grid=[spec.n for spec in specs],
+        n_grid=n_grid,
         replicates=replicates,
+        records=records,
+        summaries=summaries,
+        slope_beta=_rate_slope(n_grid, [s["median_err_beta"] for s in summaries],
+                               lambda n: np.sqrt(np.log(n) / n)),
+        slope_gamma_bc=_rate_slope(n_grid, [s["median_err_gamma_bc"] for s in summaries],
+                                   lambda n: 1.0 / n),
+        errors=[f"all replicates failed at n={s['n']}"
+                for s in summaries if s["failures"] == s["replicates"]],
     )
-    report.records = records
-    for k, spec in enumerate(specs):
-        chunk = [r for r in records if r["spec_index"] == k]
-        summary = _summarize(spec, chunk)
-        report.summaries.append(summary)
-        if summary["failures"] == summary["replicates"]:
-            report.errors.append(f"all replicates failed at n={spec.n}")
-
-    n_values = [s["n"] for s in report.summaries]
-    report.slope_beta = _rate_slope(
-        n_values,
-        [s["median_err_beta"] for s in report.summaries],
-        lambda n: np.sqrt(np.log(n) / n),
-    )
-    report.slope_gamma_bc = _rate_slope(
-        n_values,
-        [s["median_err_gamma_bc"] for s in report.summaries],
-        lambda n: 1.0 / n,
-    )
-    return report

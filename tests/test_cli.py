@@ -95,11 +95,15 @@ class TestSimulate:
             b = (tmp_path / f"b{name}").read_text()
             assert a == b
 
-    def test_bad_gamma_star_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("gamma_star, message", [
+        ("a,b", "error: --gamma-star must be comma-separated numbers: 'a,b'\n"),
+        (",", "error: --gamma-star must contain at least one number\n"),
+    ], ids=["letters", "no-number"])
+    def test_bad_gamma_star_exits_one(self, tmp_path, capsys, gamma_star, message):
         code = main(["simulate", "--family", "logistic", "--n", "10",
-                     "--gamma-star", "a,b", "--out", str(tmp_path / "x")])
+                     "--gamma-star", gamma_star, "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "comma-separated numbers" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
 
     def test_covariate_width_mismatch_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--family", "logistic", "--n", "10",
@@ -631,16 +635,18 @@ def test_scipy_loads_only_for_probit(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("n", [16, 400])
 @pytest.mark.parametrize("family", ["logistic", "poisson"])
-def test_cli_processes_load_no_scipy(tmp_path, family):
+def test_cli_processes_load_no_scipy(tmp_path, family, n):
     """``netmoment simulate`` and then ``netmoment fit``, each its own process
     as a user runs them, import no scipy module: the fit path of these
-    families needs none, not even lazily."""
+    families needs none, not even lazily, on a small network or a larger one.
+    scipy.special alone takes longer to import than the whole package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     prefix = str(tmp_path / "net")
     for argv in (
-        ["simulate", "--family", family, "--n", "16", "--gamma-star", "0.4", "--seed", "11",
+        ["simulate", "--family", family, "--n", str(n), "--gamma-star", "0.4", "--seed", "11",
          "--out", prefix],
         ["fit", "--family", family, "--edges", prefix + "_edges.csv", "--pair-covariates",
          prefix + "_covariates.csv", "--out", prefix + "_fit.json"],

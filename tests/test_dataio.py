@@ -1,7 +1,9 @@
 """Tests for CSV readers and writers, derived covariates, and serialization."""
 
 import csv
+import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -39,6 +41,8 @@ from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth, ru
 
 from conftest import build_noise_free
 from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _write(path, text):
@@ -648,7 +652,70 @@ class TestFitResultSerialization:
         assert len(without) == 1 + 10 + 2
 
 
+@pytest.fixture(scope="module")
+def pinned_report():
+    """A study that fills every kind of CSV cell: a p=1 and a p=2 spec (so the
+    p=1 rows pad their coverage with blanks), a spec whose every replicate is
+    degenerate, and a noise-free spec, which has no coverage."""
+    specs = [
+        GenSpec(n=10, family="logistic", gamma_star=(0.4,), seed=71),
+        GenSpec(n=12, family="logistic", gamma_star=(0.5, -0.5), covariates=CovariateRule(p=2),
+                seed=72),
+        GenSpec(n=5, family="logistic", gamma_star=(0.0,), beta_star=(-12.0,) * 5, seed=73),
+        GenSpec(n=10, family="logistic", gamma_star=(0.3,), seed=74, noise_free=True),
+    ]
+    return run_mc_study(specs, replicates=2)
+
+
+def _assert_pinned(actual, pinned, path="$"):
+    """Equal values of equal types, dict keys in the same order; floats to 1e-9
+    relative, so that BLAS builds that round differently still agree."""
+    assert type(actual) is type(pinned), path
+    if isinstance(pinned, float):
+        assert math.isclose(actual, pinned, rel_tol=1e-9, abs_tol=1e-12), path
+    elif isinstance(pinned, dict):
+        assert list(actual) == list(pinned), path
+        for key in pinned:
+            _assert_pinned(actual[key], pinned[key], f"{path}.{key}")
+    elif isinstance(pinned, list):
+        assert len(actual) == len(pinned), path
+        for k, (a, p) in enumerate(zip(actual, pinned)):
+            _assert_pinned(a, p, f"{path}[{k}]")
+    else:
+        assert actual == pinned, path
+
+
 class TestReportSerialization:
+    def test_report_matches_pinned_json(self, pinned_report):
+        """``asdict(report)`` as JSON, against ``fixtures/pinned_study.json``.
+        A new record or summary key must update that file deliberately."""
+        fresh = io.StringIO()
+        write_json(fresh, asdict(pinned_report))
+        pinned = (FIXTURES / "pinned_study.json").read_text()
+        _assert_pinned(json.loads(fresh.getvalue()), json.loads(pinned))
+
+    def test_csv_matches_pinned_csv(self, pinned_report):
+        """``report_csv_rows`` written as CSV, against ``fixtures/pinned_study.csv``:
+        every cell the same text, but error cells only to 1e-9 relative."""
+        fresh = io.StringIO()
+        dataio.write_csv(fresh, report_csv_rows(pinned_report))
+        text = fresh.getvalue()
+        pinned = (FIXTURES / "pinned_study.csv").read_bytes().decode()
+        rows = list(csv.reader(io.StringIO(text)))
+        pinned_rows = list(csv.reader(io.StringIO(pinned)))
+        assert text.count("\r\n") == pinned.count("\r\n") == len(pinned_rows)
+        header = pinned_rows[0]
+        assert rows[0] == header
+        assert len(rows) == len(pinned_rows)
+        for row, pinned_row in zip(rows[1:], pinned_rows[1:]):
+            assert len(row) == len(header)
+            for name, cell, pinned_cell in zip(header, row, pinned_row):
+                if name.startswith("err_") and pinned_cell:
+                    assert math.isclose(float(cell), float(pinned_cell),
+                                        rel_tol=1e-9, abs_tol=1e-12), (name, row)
+                else:
+                    assert cell == pinned_cell, (name, row)
+
     def test_dict_round_trips_through_json(self, report, tmp_path):
         path = tmp_path / "report.json"
         write_json(str(path), asdict(report))
@@ -797,12 +864,21 @@ max_outer = 150
         with pytest.raises(DataError, match="duplicate key 'seed'"):
             parse_study_config(path)
 
-    def test_unparseable_value(self, tmp_path):
+    @pytest.mark.parametrize("line", ["n_grid = ten", "noise_free = maybe"])
+    def test_unparseable_value(self, tmp_path, line):
         path = _write(tmp_path / "study.cfg",
-                      "family = logistic\nn_grid = ten\nreplicates = 2\n"
-                      "gamma_star = 0.5\n")
-        with pytest.raises(DataError, match="cannot parse n_grid"):
+                      "family = logistic\nreplicates = 2\ngamma_star = 0.5\n" + line + "\n")
+        key, value = line.split(" = ")
+        with pytest.raises(DataError, match=f"line 4: cannot parse {key} = '{value}'"):
             parse_study_config(path)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("YES", True), ("1", True), ("False", False), ("nO", False), ("0", False),
+    ])
+    def test_noise_free_flag(self, tmp_path, value, expected):
+        path = _write(tmp_path / "study.cfg", self.GOOD + f"noise_free = {value}\n")
+        specs, _, _ = parse_study_config(path)
+        assert [s.noise_free for s in specs] == [expected] * 3
 
     def test_line_without_equals(self, tmp_path):
         path = _write(tmp_path / "study.cfg", "family logistic\n")

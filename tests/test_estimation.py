@@ -851,7 +851,8 @@ class TestDegreeJacobianSolve:
 
     @pytest.mark.parametrize("n", [20, 250])
     def test_vanishing_slope_sum_is_singular(self, n):
-        """A node whose mean slopes all underflow leaves a zero row in V."""
+        """A node whose mean slopes all underflow leaves a zero row in V; the
+        degree solver started there stops before its first step."""
         data = _gen_network("logistic", n, 611)
         beta = np.zeros(n)
         beta[0] = 800.0
@@ -861,6 +862,10 @@ class TestDegreeJacobianSolve:
             for function in (profile_jacobian, standard_errors):
                 with pytest.raises(SingularDesignError, match="degree Jacobian is singular"):
                     function(data, "logistic", beta, gamma)
+            with pytest.raises(NonConvergenceError, match="slope row sums underflowed") as excinfo:
+                solve_degree_params(data, "logistic", gamma, beta_init=beta)
+        # node 0's means all round to 1, so its residual is the degree it lacks
+        assert excinfo.value.residual == n - 1 - data.degrees[0]
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_rank_check_fires_at_the_first_iterate(self, name):

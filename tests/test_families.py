@@ -10,6 +10,8 @@ from scipy.special import expit
 from netmoment.errors import DataError
 from netmoment.families import get_family, initial_degree_params
 
+from oracles import variance_ref
+
 FAMILIES = ["logistic", "poisson", "probit"]
 
 
@@ -112,6 +114,14 @@ class TestProbitClosedForms:
         # from zero; standard errors must use the variance, not the slope
         fam = get_family("probit")
         assert abs(fam.variance(2.0) - fam.mean_slope(2.0)) > 0.01
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_variance_matches_oracle(name):
+    """Into both tails, where binary variances underflow and Poisson ones
+    come near the top of the double range."""
+    grid = np.concatenate([[-700.0, -300.0], np.linspace(-40.0, 40.0, 801), [300.0, 700.0]])
+    assert_allclose(get_family(name).variance(grid), variance_ref(name, grid), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
