@@ -109,6 +109,7 @@ def _run_fit(args):
         covariates = dataio.derive_pair_covariates(attrs, args.transform)
         n = attrs.shape[0]
     data = NetworkData(dataio.read_edges(args.edges, n), covariates)
+    del covariates  # data holds its own copy; freeing this one lowers the fit's peak memory
     result = fit(data, args.family, dataio.solver_config(vars(args)))
     bias_correct = not args.no_bias_correct
     dest = args.out or sys.stdout

@@ -4,14 +4,16 @@ File conventions: comma separator, ``.`` decimal point, mandatory header
 row, 0-based integer node ids.  Edge lists carry one row per unordered
 pair with nonzero weight; covariate files carry every unordered pair
 exactly once, so they also fix the node count.  Floats are written with
-``repr`` so a write/read round trip is bit-exact.  Tables are parsed by
-numpy's C reader when that is safe, else by a checked reader that alone
-writes error messages (see ``_read_table``).
+``repr`` so a write/read round trip is bit-exact.  Edge and covariate
+files are written in blocks of rows that format each distinct bit pattern
+of a column once, with ``str`` for an id and ``repr`` for a float; their
+bytes equal those of ``csv.writer``, which writes every other CSV output.
+Tables are parsed by numpy's C reader when that is safe, else by a
+checked reader that alone writes error messages (see ``_read_table``).
 """
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import warnings
@@ -262,16 +264,28 @@ def write_csv(dest, rows):
         csv.writer(handle).writerows(rows)
 
 
+def _cells(column, text):
+    """``text(v)`` for each entry v of the 8-byte ``column``, as a list; ``text`` runs
+    once per distinct bit pattern, so -0.0 and 0.0 keep their own reprs."""
+    keys, where = np.unique(column.view(np.int64), return_inverse=True)
+    distinct = [text(v) for v in keys.view(column.dtype).tolist()]
+    return np.array(distinct, dtype=object)[where].tolist()
+
+
 def _write_table(path, header, ids, values):
-    """Write int id columns and float value columns as CSV, ``_BLOCK_ROWS`` rows at a time."""
+    """Write int id columns and float value columns as CSV, ``_BLOCK_ROWS`` rows at a time.
 
-    def rows(k):
-        part = slice(k, k + _BLOCK_ROWS)
-        fields = [map(str, c[part].tolist()) for c in ids]
-        return zip(*fields, *[map(repr, c[part].tolist()) for c in values])
-
-    blocks = map(rows, range(0, len(ids[0]), _BLOCK_ROWS))
-    write_csv(path, itertools.chain([header], itertools.chain.from_iterable(blocks)))
+    Ids are written with ``str`` and floats with ``repr``; neither ever needs
+    quoting, so joining the cells with "," and ending each row with "\\r\\n"
+    gives the bytes ``csv.writer`` would.
+    """
+    ids = [np.asarray(c, np.int64) for c in ids]  # node ids are intp, 4 bytes on 32-bit builds
+    with _output(path) as handle:
+        handle.write(",".join(header) + "\r\n")
+        for k in range(0, len(ids[0]), _BLOCK_ROWS):
+            part = slice(k, k + _BLOCK_ROWS)
+            columns = [_cells(c[part], str) for c in ids] + [_cells(c[part], repr) for c in values]
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def write_edges(path, data):

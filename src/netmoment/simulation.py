@@ -256,9 +256,10 @@ class McStudyReport:
     failure markers.  ``summaries`` holds one dict per n with medians,
     empirical coverage, and failure counts.  Rate slopes regress the log
     median degree-parameter error on log sqrt(log n / n) and the log median
-    corrected-coefficient error on log (1 / n); both are None when fewer
-    than two distinct n values have usable medians.  ``errors`` lists grid
-    points where every replicate failed.
+    corrected-coefficient error on log (1 / n), over the specs that are not
+    ``noise_free`` (their errors are rounding error, with no rate); both are
+    None when fewer than two distinct n values among those specs have usable
+    medians.  ``errors`` lists grid points where every replicate failed.
     """
 
     family: str
@@ -349,16 +350,17 @@ def run_mc_study(specs, replicates, config=None):
 
     summaries = [_summarize(spec, [r for r in records if r["spec_index"] == k])
                  for k, spec in enumerate(specs)]
-    n_grid = [spec.n for spec in specs]
+    noisy = [s for spec, s in zip(specs, summaries) if not spec.noise_free]
+    noisy_n = [s["n"] for s in noisy]
     return McStudyReport(
         family=specs[0].family,
-        n_grid=n_grid,
+        n_grid=[spec.n for spec in specs],
         replicates=replicates,
         records=records,
         summaries=summaries,
-        slope_beta=_rate_slope(n_grid, [s["median_err_beta"] for s in summaries],
+        slope_beta=_rate_slope(noisy_n, [s["median_err_beta"] for s in noisy],
                                lambda n: np.sqrt(np.log(n) / n)),
-        slope_gamma_bc=_rate_slope(n_grid, [s["median_err_gamma_bc"] for s in summaries],
+        slope_gamma_bc=_rate_slope(noisy_n, [s["median_err_gamma_bc"] for s in noisy],
                                    lambda n: 1.0 / n),
         errors=[f"all replicates failed at n={s['n']}"
                 for s in summaries if s["failures"] == s["replicates"]],

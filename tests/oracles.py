@@ -13,10 +13,13 @@ are measured against.
 balanced-class helpers behind acceptance criterion 7.
 The CSV readers at the end parse one field at a time with ``int`` and
 ``float`` and validate row by row, the reference for the array-based
-readers in ``netmoment.dataio``.
+readers in ``netmoment.dataio``; ``write_table_ref`` sends every cell
+through ``str`` or ``repr`` and ``csv.writer``, the reference for its
+block writer.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -468,3 +471,11 @@ def read_node_attrs_ref(path):
         seen.add(i)
         attrs[i] = [_parse_float(v, path, line, "attribute") for v in row[1:]]
     return attrs
+
+
+def write_table_ref(path, header, ids, values):
+    """Int id columns and float value columns as CSV, each cell formatted by
+    ``str`` (ids) or ``repr`` (floats) and written by ``csv.writer``."""
+    columns = [map(str, c.tolist()) for c in ids] + [map(repr, c.tolist()) for c in values]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(itertools.chain([header], zip(*columns)))

@@ -85,14 +85,16 @@ class TestSimulate:
         with open(edges) as handle:
             assert handle.readline().strip() == "i,j,weight"
 
-    def test_same_seed_reproduces_files(self, tmp_path):
-        args = ["simulate", "--family", "poisson", "--n", "10",
-                "--gamma-star", "0.3,-0.2", "--seed", "9"]
+    @pytest.mark.parametrize("rule", ["iid_pm1", "iid_uniform"])
+    def test_repeat_runs_are_byte_identical(self, tmp_path, rule):
+        # 130 nodes have 8385 pairs, more than one block of the CSV writer
+        args = ["simulate", "--family", "poisson", "--n", "130", "--gamma-star", "0.3,-0.2",
+                "--covariate-rule", rule, "--seed", "9"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("_edges.csv", "_covariates.csv"):
-            a = (tmp_path / f"a{name}").read_text()
-            b = (tmp_path / f"b{name}").read_text()
+            a = (tmp_path / f"a{name}").read_bytes()
+            b = (tmp_path / f"b{name}").read_bytes()
             assert a == b
 
     @pytest.mark.parametrize("gamma_star, message", [

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from netmoment.network import NetworkData, pair_count, pair_indices
 from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth, run_mc_study
 
 from conftest import build_noise_free
-from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref
+from oracles import read_edges_ref, read_node_attrs_ref, read_pair_covariates_ref, write_table_ref
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -550,6 +551,64 @@ class TestRoundTripProperty:
         assert got_n == n
         assert got_z.tobytes() == network.covariates.tobytes()
         assert got_adjacency.tobytes() == (network.adjacency + 0.0).tobytes()
+
+
+# both zeros, subnormals, the extremes and values whose repr switches notation
+_WRITER_SPECIALS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _table_bytes(write, network, block_rows, table=dataio._write_table):
+    """The bytes ``write(path, network)`` puts in a file when ``_write_table`` is
+    ``table`` and blocks hold ``block_rows`` rows."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataio, "_write_table", table), \
+            mock.patch.object(dataio, "_BLOCK_ROWS", block_rows):
+        path = Path(tmp, "out.csv")
+        write(str(path), network)
+        return path.read_bytes()
+
+
+class TestWriterBytes:
+    """The block writer's bytes equal those of ``csv.writer`` fed one
+    ``str``/``repr`` cell at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12), p=st.integers(1, 3),
+           block_rows=st.sampled_from([3, 8192]), no_edges=st.booleans())
+    def test_edges_and_covariates_match_csv_writer(self, data, n, p, block_rows, no_edges):
+        pairs = pair_count(n)
+        pool = data.draw(st.lists(_FLOATS, min_size=1, max_size=3))  # values drawn repeatedly
+        cells = st.one_of(_FLOATS, st.sampled_from(_WRITER_SPECIALS + pool))
+        weights = np.zeros(pairs) if no_edges else np.array(
+            data.draw(st.lists(cells, min_size=pairs, max_size=pairs)))
+        z = np.array(data.draw(st.lists(cells, min_size=pairs * p, max_size=pairs * p)))
+        rows, cols = pair_indices(n)
+        adjacency = np.zeros((n, n))
+        adjacency[rows, cols] = adjacency[cols, rows] = weights
+        network = NetworkData(adjacency, z.reshape(pairs, p))
+        for write in (write_edges, write_pair_covariates):
+            got = _table_bytes(write, network, block_rows)
+            assert got == _table_bytes(write, network, block_rows, write_table_ref)
+        if no_edges:
+            assert _table_bytes(write_edges, network, block_rows) == b"i,j,weight\r\n"
+
+    def test_extreme_ids_across_blocks(self, tmp_path, monkeypatch):
+        """Ids near ±2**63, and values repeated within and across blocks of 3 rows."""
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 3)
+        big = 2**63 - 1
+        ids = [np.array([big, -big - 1, 0, big, -1, -big - 1, big - 1, 7], np.int64),
+               np.array([-big - 1, big, big, 1, -big - 1, 0, 2**53 + 1, big], np.int64)]
+        values = [np.array([-0.0, 0.0, 1e16, -0.0, 5e-324, 0.0, 1e-5, 1e16]),
+                  np.array([1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.1,
+                            -2.2250738585072014e-308, 0.1, -0.0, 3.0])]
+        header = ["i", "j", "z1", "z2"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        dataio._write_table(str(got), header, ids, values)
+        write_table_ref(str(want), header, ids, values)
+        assert got.read_bytes() == want.read_bytes()
+        first_row = b"9223372036854775807,-9223372036854775808,-0.0,1.7976931348623157e+308"
+        assert got.read_bytes().splitlines()[1] == first_row
 
 
 class TestDerivePairCovariates:

@@ -410,6 +410,9 @@ class TestRunMcStudy:
             assert summary["failures"] == 0
             assert summary["median_err_gamma"] <= 1e-6
             assert summary["coverage_gamma"] is None
+        # noise-free errors are rounding error: no rate to fit
+        assert report.slope_beta is None
+        assert report.slope_gamma_bc is None
 
     def test_total_failure_listed_in_errors(self):
         specs = [GenSpec(n=5, family="logistic", gamma_star=(0.0,),
