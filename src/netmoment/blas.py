@@ -3,14 +3,15 @@
 OpenBLAS splits a matrix-vector product and a long dot product across its
 threads, and how it splits them changes the rounding, so results change in
 their last digits with the thread count.  ``single_blas_thread`` runs a block
-with every loaded OpenBLAS set to one thread.  Other BLAS builds are left
-alone.  The state below is module-level because the thread count it guards is
-process-wide.
+with every OpenBLAS loaded at the process's first block set to one thread:
+numpy's, the only one the package calls, is loaded with numpy.  Other BLAS
+builds are left alone.  The state below is module-level because the thread
+count it guards is process-wide.
 """
 
 import ctypes
+import functools
 import os
-import sys
 import threading
 from contextlib import contextmanager
 
@@ -51,17 +52,9 @@ def openblas_thread_controls():
     return controls
 
 
-# (len(sys.modules) at the last scan, the controls it found); an import may
-# load another OpenBLAS (scipy.special brings scipy's own), so a changed
-# module count triggers a rescan
-_scanned = (None, [])
-
-
+@functools.cache
 def _controls():
-    global _scanned
-    if _scanned[0] != len(sys.modules):
-        _scanned = (len(sys.modules), openblas_thread_controls())
-    return _scanned[1]
+    return openblas_thread_controls()  # one scan: see the module docstring
 
 
 _lock = threading.Lock()
@@ -80,7 +73,7 @@ if hasattr(os, "register_at_fork"):  # a child forked while another thread held 
 
 @contextmanager
 def single_blas_thread():
-    """Run the body with every loaded OpenBLAS set to one thread.
+    """Run the body with every OpenBLAS set to one thread (see the module docstring).
 
     The setting is process-wide and is inherited by workers forked inside
     the body.  Only the outermost of nested or concurrent blocks sets and

@@ -276,12 +276,13 @@ def _assert_profile_invertible(h, scale, slack=0.0):
 
 
 class _Iterate(NamedTuple):
-    """Parameters, their pair index and mean, and the moment residuals there."""
+    """Parameters, their pair index, mean and mean slope, and the moment residuals there."""
 
     beta: np.ndarray
     gamma: np.ndarray
     pi: np.ndarray
     mu: np.ndarray
+    slope: np.ndarray
     f: np.ndarray
     q: np.ndarray
     f_norm: float
@@ -312,11 +313,11 @@ class _MomentSystem:
         if self.offset is not None:
             pi += self.offset
         pi += self.z @ gamma
-        mu = self.family.mean(pi)
+        mu, slope = self.family._mean_and_slope(pi)
         f = data.degrees - data.node_pair_sums(mu)
         q = self.z.T @ (data.pair_weights - mu)
         f_norm, q_norm = float(np.abs(f).max()), float(np.abs(q).max(initial=0.0))
-        return _Iterate(beta, gamma, pi, mu, f, q, f_norm, q_norm, max(f_norm, q_norm))
+        return _Iterate(beta, gamma, pi, mu, slope, f, q, f_norm, q_norm, max(f_norm, q_norm))
 
     def solve(self, beta, gamma, tol_f, tol_q, max_steps, trace=None):
         """Safeguarded Newton iteration from (beta, gamma).
@@ -346,9 +347,7 @@ class _MomentSystem:
     def _step(self, state, start):
         """One inexact Newton step (see the module docstring), halved until
         the larger residual norm falls; ``start`` is the merit at the first iterate."""
-        data, family, merit = self.data, self.family, state.merit
-        slope = (family._variance_from_mean(state.mu) if family._slope_is_variance  # mean in hand
-                 else family.mean_slope(state.pi))
+        data, slope, merit = self.data, state.slope, state.merit
         slope_sums = data.node_pair_sums(slope)
         if not np.all(slope_sums > 0.0):
             raise NonConvergenceError(
@@ -564,7 +563,7 @@ def fit(data, family, config=None):
         state, iterations = system.solve(
             beta, gamma, config.tol_f, config.tol_q, config.max_outer, trace
         )
-        slope, m2 = family._first_two_derivs(state.pi, state.mu)
+        slope = state.slope
         if not slope.min() > 0.0:
             # saturated pairs make F and Q vanish in floats away from any root
             zero = np.count_nonzero(slope <= 0.0)
@@ -576,7 +575,8 @@ def fit(data, family, config=None):
             )
         curv = _curvature(data, data.covariates, slope, v=system.v)
         _assert_profile_invertible(curv.h, curv.scale)
-        bias = _homophily_bias(data, m2, curv.slope_sums)
+        bias = _homophily_bias(data, family._mean_curvature(state.pi, state.mu, slope),
+                               curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)
         se_beta, se_gamma = _standard_errors(data, family, curv, state.mu)
     except (NonConvergenceError, SingularDesignError) as exc:

@@ -10,6 +10,7 @@ one contiguous run of n*(n-1)/2 values.
 """
 
 import functools
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -51,6 +52,26 @@ def symmetric_from_pairs(n, pair_values, diagonal=0.0, out=None):
         start += i
     np.fill_diagonal(out, diagonal)
     return out
+
+
+def _row_sums(a):
+    """Row sums of the finite matrix ``a``; inf where a sum passes the float range.
+
+    numpy's pairwise sum can form a +inf and a -inf partial sum from finite
+    entries whose total is finite, which gives NaN.  The rows whose plain
+    sum is not finite are summed again with ``math.fsum``, correctly
+    rounded, after an exact division by the power of two just above their
+    largest magnitude, which keeps every partial sum finite; every other
+    row keeps its plain sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = a.sum(axis=1)
+        bad = np.nonzero(~np.isfinite(sums))[0]
+        if bad.size:
+            shift = -np.frexp(np.abs(a[bad]).max(axis=1))[1]
+            scaled = np.ldexp(a[bad], shift[:, None])
+            sums[bad] = np.ldexp([math.fsum(row) for row in scaled], -shift)
+    return sums
 
 
 class NetworkData:
@@ -97,8 +118,7 @@ class NetworkData:
         self._row_starts = pair_count(np.arange(1, n))  # starts of rows 1..n-1; row 0 has none
         self.covariates = z
         self.pair_weights = a[self.rows, self.cols]
-        with np.errstate(over="ignore"):
-            self.degrees = a.sum(axis=1)
+        self.degrees = _row_sums(a)
         for array in (z, self.pair_weights, self.degrees):
             array.setflags(write=False)
 

@@ -331,13 +331,9 @@ def run_mc_study(specs, replicates, config=None):
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # load here once, not in every forked worker, what the workers
-            # would import on first use: numpy.random (numpy loads it
-            # lazily) and what a family loads (scipy.special for probit)
+            # load numpy.random (numpy imports it lazily) here once, not in
+            # every forked worker
             import numpy.random  # noqa: F401
-
-            for name in {spec.family for spec in specs}:
-                get_family(name).mean(0.0)
 
             # workers inherit the one-thread setting only when forked
             fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None

@@ -53,13 +53,12 @@ from netmoment.estimation import (
     solve_degree_params,
     standard_errors,
 )
-from netmoment import estimation, network
+from netmoment import estimation, families, network
 from netmoment.blas import single_blas_thread
 from netmoment.dataio import fit_result_to_dict
 from netmoment.families import (
     LogisticFamily,
     PoissonFamily,
-    _special,
     get_family,
     initial_degree_params,
 )
@@ -709,25 +708,27 @@ class TestCurvaturePass:
         assert slopes == []
 
     def test_probit_cdf_only_in_evaluations(self, monkeypatch):
-        """The probit variances at the root reuse the evaluated mean."""
+        """The probit slopes of each step and the variances at the root reuse
+        the evaluated mean and density."""
         data, _, _ = build_instance("probit", 12, 2, seed=211)
-        special = _special()
-        ndtr, evaluate = special.ndtr, estimation._MomentSystem.evaluate
+        cdf_pdf, evaluate = families._normal_cdf_pdf, estimation._MomentSystem.evaluate
         evaluations, inside, outside = [], [], []
 
-        def counting_ndtr(x):
+        def counting_cdf_pdf(x):
             # each evaluation may make one call; any further call is outside one
             (inside if len(evaluations) > len(inside) else outside).append(1)
-            return ndtr(x)
+            return cdf_pdf(x)
 
         def counting_evaluate(self, beta, gamma):
             evaluations.append(1)
             return evaluate(self, beta, gamma)
 
-        monkeypatch.setattr(special, "ndtr", counting_ndtr)
+        monkeypatch.setattr(families, "_normal_cdf_pdf", counting_cdf_pdf)
         monkeypatch.setattr(estimation._MomentSystem, "evaluate", counting_evaluate)
+        slopes = _count_calls(monkeypatch, families.ProbitFamily, "mean_slope")
         result = fit(data, "probit")
         assert result.iterations > 1
+        assert slopes == []
         assert outside == []
         assert len(inside) == len(evaluations)
 

@@ -133,6 +133,23 @@ class TestDegrees:
         data = NetworkData(a, np.zeros((3, 1)))
         assert data.degrees.tolist() == [np.inf, 1.7e308, 1.7e308]
 
+    def test_cancelling_weights_sum_without_nan(self):
+        """Node 5's weights total -2^970, but numpy's pairwise row sum meets a
+        +inf and a -inf partial sum on the way; only that row is summed again,
+        exactly, and the others keep their plain sums."""
+        big = np.finfo(float).max
+        a = np.zeros((8, 8))
+        a[5, :4] = a[:4, 5] = [2.0**970, big, -np.nextafter(big / 2, np.inf),
+                               -np.nextafter(big / 2, np.inf)]
+        a[6, 7] = a[7, 6] = 0.1
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = a.sum(axis=1)
+        assert np.isnan(plain[5])
+        data = NetworkData(a, np.zeros((28, 1)))
+        assert data.degrees[5] == -(2.0**970)
+        others = np.arange(8) != 5
+        assert data.degrees[others].tobytes() == plain[others].tobytes()
+
     def test_random_weighted_matches_double_loop(self):
         data = _random_network(8, 1, 3)
         expected = np.zeros(8)
