@@ -21,10 +21,8 @@ from .estimation import (
     SolverConfig,
     bias_correct,
     fit,
-    homophily_bias,
     profile_jacobian,
     solve_degree_params,
-    standard_errors,
 )
 from .simulation import (
     CovariateRule,
@@ -65,7 +63,6 @@ __all__ = [
     "fit",
     "generate_with_truth",
     "get_family",
-    "homophily_bias",
     "pair_count",
     "pair_indices",
     "pair_offset",
@@ -76,7 +73,6 @@ __all__ = [
     "read_pair_covariates",
     "run_mc_study",
     "solve_degree_params",
-    "standard_errors",
     "write_edges",
     "write_pair_covariates",
 ]

@@ -104,6 +104,24 @@ _MAX_HALVINGS = 40
 _MAX_STEP = 1e6
 
 
+# Largest n_pairs * m^2 for a covariate column of magnitude m (its largest
+# |z_ij|): 2^-8 of the float maximum.  The curvature and the standard errors
+# sum products of two covariate entries over the pairs, times a slope (at most
+# 0.4 for the binary families) or a squared residual, and H and the scores add
+# a few such sums; the margin keeps each of them finite.
+_COVARIATE_SCALE = np.finfo(float).max / 256.0
+
+
+def _check_covariate_scale(data):
+    """DataError naming the first covariate column too large for the moment sums."""
+    limit = float(np.sqrt(_COVARIATE_SCALE / data.n_pairs))
+    for k, magnitude in enumerate(data._column_magnitudes):
+        if magnitude > limit:
+            raise DataError(f"covariate z{k + 1} has magnitude {magnitude:.3g}, above the "
+                            f"limit {limit:.3g} for {data.n} nodes: sums of its products over "
+                            "the pairs would overflow")
+
+
 def _parameters(data, beta, gamma):
     """A caller's beta (length n) and gamma (length p) as float arrays; DataError otherwise,
     and for a ``data`` that is not a ``NetworkData``."""
@@ -111,10 +129,13 @@ def _parameters(data, beta, gamma):
     return _finite("beta", beta, (n,)), _finite("gamma", gamma, (p,))
 
 
-def _pair_index(data, beta, gamma):
-    """Index value beta_i + beta_j + z_ij . gamma for every pair."""
+def _evaluate(data, family, beta, gamma):
+    """The moment system of ``data`` and ``family`` and its iterate at a
+    caller's (beta, gamma), checked first: the evaluation ``fit`` makes."""
+    family = get_family(family)
     beta, gamma = _parameters(data, beta, gamma)
-    return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
+    system = _MomentSystem(data, family)
+    return system, system.evaluate(beta, gamma)
 
 
 def degree_jacobian(data, family, beta, gamma):
@@ -124,8 +145,8 @@ def degree_jacobian(data, family, beta, gamma):
     -sum_{j != i} mu'(pi_ij) on it; its negation is diagonally balanced
     with positive entries.
     """
-    slope = get_family(family).mean_slope(_pair_index(data, beta, gamma))
-    return symmetric_from_pairs(data.n, -slope, -data.node_pair_sums(slope))
+    system, state = _evaluate(data, family, beta, gamma)
+    return symmetric_from_pairs(data.n, -state.slope, -data.node_pair_sums(state.slope), system.v)
 
 
 def check_interior_degrees(data, family):
@@ -184,6 +205,8 @@ _CG_RTOL = 1e-14
 _CG_FORCING_CAP = 0.01
 
 
+# a breakdown is told by a non-finite iterate, not by numpy's warnings
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cg(a, diagonal, b, rtol=_CG_RTOL):
     """a^{-1} b for a symmetric positive definite ``a`` by conjugate gradients
     preconditioned with ``a``'s positive ``diagonal``, one product with ``a``
@@ -191,7 +214,9 @@ def _cg(a, diagonal, b, rtol=_CG_RTOL):
     power of two just above the largest diagonal entry, exactly, so squared
     norms stay in the float range.  At ``_CG_MAX_STEPS`` a solve looser than
     ``_CG_RTOL`` (a Newton step's) returns its iterate; one to ``_CG_RTOL``
-    raises ``NonConvergenceError``."""
+    raises ``NonConvergenceError``, as does a breakdown: an ``a`` singular in
+    floats, whose slopes underflow where no finite root exists, can make p.ap
+    vanish or the iterates overflow."""
     shift = -np.frexp(diagonal.max())[1]
     diagonal, b = np.ldexp(diagonal, shift), np.ldexp(b, shift)
     x, r = np.zeros_like(b), b.copy()
@@ -213,6 +238,9 @@ def _cg(a, diagonal, b, rtol=_CG_RTOL):
         z = r / diagonal
         rz, rz_before = r @ z, rz
         p = z + (rz / rz_before) * p
+    if not np.isfinite(x).all():
+        raise NonConvergenceError(f"degree Jacobian solve broke down after {steps} "
+                                  "conjugate-gradient steps: the Jacobian is singular in floats")
     return x
 
 
@@ -293,18 +321,22 @@ class _Iterate(NamedTuple):
 class _MomentSystem:
     """The equations F = 0 and Q = 0 in (beta, gamma).
 
-    gamma are the coefficients on the pair covariate columns ``z``; the part
-    of the index held fixed is ``offset``; by default all the network's
-    covariates with no offset.  With no columns, Q is empty and the system is
-    the degree equations alone.  Its curvatures share the (n, n) buffer ``v``.
+    gamma are the coefficients on the pair covariate columns ``z``, all the
+    network's.  Given ``gamma``, the coefficients are held there instead:
+    ``z`` has no columns, the covariate term is the fixed ``offset``, Q is
+    empty and the system is the degree equations alone.  Its curvatures
+    share the (n, n) buffer ``v``.  Every estimation function evaluates the
+    model through this class, which first rejects covariates too large for
+    its sums (``_check_covariate_scale``).
     """
 
-    def __init__(self, data, family, z=None, offset=None):
+    def __init__(self, data, family, gamma=None):
+        _check_covariate_scale(data)
         self.data = data
         self.family = family
-        self.z = data.covariates if z is None else z
-        self.offset = offset
-        self.label = "joint solver" if self.z.shape[1] else "degree solver"
+        self.z = data.covariates if gamma is None else data.covariates[:, :0]
+        self.offset = None if gamma is None else data.covariates @ gamma
+        self.label = "joint solver" if gamma is None else "degree solver"
         self.v = np.empty((data.n, data.n))
 
     def evaluate(self, beta, gamma):
@@ -368,7 +400,10 @@ class _MomentSystem:
                 curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v)
                 _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
-        d_gamma = -np.linalg.solve(curv.h, state.q - curv.solved.T @ state.f)
+        try:
+            d_gamma = -np.linalg.solve(curv.h, state.q - curv.solved.T @ state.f)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
         d_beta = -(curv.solved_f + curv.solved @ d_gamma)
         if not (np.all(np.isfinite(d_beta)) and np.all(np.isfinite(d_gamma))):
             raise NonConvergenceError(
@@ -392,17 +427,10 @@ class _MomentSystem:
         )
 
 
-def degree_residuals(data, family, beta, gamma):
-    """Observed minus expected degrees, one entry per node."""
-    beta, gamma = _parameters(data, beta, gamma)
-    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).f
-
-
 @_one_blas_thread
 def covariate_residuals(data, family, beta, gamma):
     """Covariate-weighted sum of edge residuals over unordered pairs."""
-    beta, gamma = _parameters(data, beta, gamma)
-    return _MomentSystem(data, get_family(family)).evaluate(beta, gamma).q
+    return _evaluate(data, family, beta, gamma)[1].q
 
 
 @_one_blas_thread
@@ -428,8 +456,7 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     if beta_init is None:
         beta_init = initial_degree_params(family, data.degrees, data.n)
     beta = np.array(_finite("beta_init", beta_init, (data.n,)))  # a copy: it may be returned
-    offset = data.covariates @ _finite("gamma", gamma, (data.n_covariates,))
-    system = _MomentSystem(data, family, data.covariates[:, :0], offset)
+    system = _MomentSystem(data, family, _finite("gamma", gamma, (data.n_covariates,)))
     state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_outer)
     return state.beta, iterations, state.f_norm
 
@@ -443,9 +470,8 @@ def profile_jacobian(data, family, beta, gamma):
     (see the module docstring).  ``fit`` steps the coefficients with H and
     uses it at the root for bias correction and standard errors.
     """
-    family = get_family(family)
-    pi = _pair_index(data, beta, gamma)
-    return _curvature(data, data.covariates, family.mean_slope(pi)).h
+    system, state = _evaluate(data, family, beta, gamma)
+    return _curvature(data, system.z, state.slope, v=system.v).h
 
 
 def _homophily_bias(data, m2, slope_sums):
@@ -463,8 +489,9 @@ def homophily_bias(data, family, beta, gamma):
     derivatives to summed first derivatives, scaled by 1 / (2 sqrt(N)) with
     N = n (n - 1) ordered pairs.
     """
-    m1, m2, _ = get_family(family).mean_derivs(_pair_index(data, beta, gamma))
-    return _homophily_bias(data, m2, data.node_pair_sums(m1))
+    system, state = _evaluate(data, family, beta, gamma)
+    m2 = system.family._mean_curvature(state.pi, state.mu, state.slope)
+    return _homophily_bias(data, m2, data.node_pair_sums(state.slope))
 
 
 def bias_correct(gamma, profile_hessian, bias, n):
@@ -505,11 +532,10 @@ def standard_errors(data, family, beta, gamma):
     the profile Jacobian around the outer products of the concentrated
     per-pair scores.  Valid under independent dyads.
     """
-    family = get_family(family)
-    pi = _pair_index(data, beta, gamma)
-    curv = _curvature(data, data.covariates, family.mean_slope(pi))
+    system, state = _evaluate(data, family, beta, gamma)
+    curv = _curvature(data, system.z, state.slope, v=system.v)
     _assert_profile_invertible(curv.h, curv.scale)
-    return _standard_errors(data, family, curv, family.mean(pi))
+    return _standard_errors(data, system.family, curv, state.mu)
 
 
 def _diagnostics(data, curv):
@@ -542,14 +568,16 @@ def fit(data, family, config=None):
     the bias-corrected coefficients, the standard errors, and the solver
     diagnostics.  The trace holds one entry per iterate.
 
-    Raises ``DegenerateDegreeError`` for boundary degrees,
-    ``SingularDesignError`` for collinear covariate designs, and
-    ``NonConvergenceError`` when ``config.max_outer`` iterates do not reach
-    the tolerances, a step diverges or stalls, a conjugate-gradient solve of
-    the degree Jacobian to 1e-14 takes 100 steps without converging, or some
-    pair's mean slope is exactly zero at the converged iterate (saturated
-    means meet the tolerances with no finite root).  Both of the latter carry
-    the trace of the iterates so far.
+    Raises ``DegenerateDegreeError`` for boundary degrees, ``DataError`` for
+    a covariate column too large for the sums over pairs (the limit of
+    ``_check_covariate_scale``), ``SingularDesignError`` for collinear
+    covariate designs, and ``NonConvergenceError`` when ``config.max_outer``
+    iterates do not reach the tolerances, a step diverges or stalls, a
+    conjugate-gradient solve of the degree Jacobian breaks down or, to
+    1e-14, takes 100 steps without converging, or some pair's mean slope is
+    exactly zero at the converged iterate (saturated means meet the
+    tolerances with no finite root).  Both of the latter carry the trace of
+    the iterates so far.
     """
     family = get_family(family)
     config = _solver_config(config)

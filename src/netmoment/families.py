@@ -91,12 +91,8 @@ def _horner(coeffs, x):
     return out
 
 
-def _normal_pdf(pi):
-    return _INV_SQRT_2PI * np.exp(-0.5 * pi * pi)
-
-
 def _normal_cdf_pdf(x):
-    """Phi(x) and phi(x), of ``x``'s shape; phi equals ``_normal_pdf(x)`` bit for bit.
+    """Phi(x) and phi(x) = exp(-x^2 / 2) / sqrt(2 pi), of ``x``'s shape.
 
     Phi(x) is 1 - q for x >= +0 and q for x <= -0, q = phi(x) m(|x|), chosen
     by the sign bit through arithmetic rather than a branch over the array.
@@ -109,7 +105,7 @@ def _normal_cdf_pdf(x):
         xs = x_flat[part]
         t = np.abs(xs)
         np.minimum(t, _MILLS_MAX_T, out=t)
-        phi = np.multiply(t, t, out=pdf_flat[part])  # in place: _normal_pdf's operations
+        phi = np.multiply(t, t, out=pdf_flat[part])
         phi *= -0.5
         np.exp(phi, out=phi)
         phi *= _INV_SQRT_2PI
@@ -180,12 +176,14 @@ class EdgeFamily:
     # A canonical link's mean slope is its variance, so these two take everything
     # from the mean; a family with another link (probit) overrides both.
     def _mean_and_slope(self, pi):
-        """``mean(pi)`` and ``mean_slope(pi)``, bit for bit, from one evaluation."""
+        """``mean(pi)`` and the mean slope at ``pi`` from one evaluation; every
+        family's ``mean_slope`` and ``mean_derivs`` take the slope from here."""
         mu = self.mean(pi)
         return mu, self._variance_from_mean(mu)
 
     def _mean_curvature(self, pi, mu, slope):
-        """``mean_derivs(pi)[1]``, bit for bit, given ``mu, slope = _mean_and_slope(pi)``."""
+        """The second derivative of the mean at ``pi``, given ``mu, slope = _mean_and_slope(pi)``;
+        ``mean_derivs`` returns it second."""
         return slope * (1.0 - 2.0 * mu) if self.support == "binary" else slope
 
     def sample(self, pi, rng):
@@ -213,15 +211,11 @@ class LogisticFamily(EdgeFamily):
         return _logistic(_finite("edge index", pi))
 
     def mean_slope(self, pi):
-        mu = _logistic(_finite("edge index", pi))
-        return mu * (1.0 - mu)
+        return self._mean_and_slope(pi)[1]
 
     def mean_derivs(self, pi):
-        mu = _logistic(_finite("edge index", pi))
-        m1 = mu * (1.0 - mu)
-        m2 = m1 * (1.0 - 2.0 * mu)
-        m3 = m1 * (1.0 - 2.0 * mu) ** 2 - 2.0 * m1 * m1
-        return m1, m2, m3
+        mu, m1 = self._mean_and_slope(pi)
+        return m1, self._mean_curvature(pi, mu, m1), m1 * (1.0 - 2.0 * mu) ** 2 - 2.0 * m1 * m1
 
     def variance(self, pi):
         return self.mean_slope(pi)
@@ -241,11 +235,11 @@ class PoissonFamily(EdgeFamily):
         return _poisson_mean(pi)
 
     def mean_slope(self, pi):
-        return _poisson_mean(pi)
+        return self._mean_and_slope(pi)[1]
 
     def mean_derivs(self, pi):
-        m = _poisson_mean(pi)
-        return m, m.copy(), m.copy()
+        mu, m1 = self._mean_and_slope(pi)
+        return m1, self._mean_curvature(pi, mu, m1).copy(), m1.copy()
 
     def variance(self, pi):
         return self.mean(pi)
@@ -285,12 +279,12 @@ class ProbitFamily(EdgeFamily):
         return -pi * slope
 
     def mean_slope(self, pi):
-        return _normal_pdf(_finite("edge index", pi))
+        return self._mean_and_slope(pi)[1]
 
     def mean_derivs(self, pi):
         pi = _finite("edge index", pi)
-        pdf = _normal_pdf(pi)
-        return pdf, -pi * pdf, (pi * pi - 1.0) * pdf
+        mu, pdf = self._mean_and_slope(pi)
+        return pdf, self._mean_curvature(pi, mu, pdf), (pi * pi - 1.0) * pdf
 
     def variance(self, pi):
         return self._variance_from_mean(self.mean(pi))

@@ -130,8 +130,11 @@ class NetworkData:
         return a
 
     @functools.cached_property
-    def _covariate_magnitude(self):
-        return float(np.abs(self.covariates).max())
+    def _column_magnitudes(self):
+        """The largest absolute entry of each covariate column, as floats,
+        from its max and min: no (n_pairs, p) temporary."""
+        z = self.covariates
+        return tuple(np.maximum(np.abs(z.max(axis=0)), np.abs(z.min(axis=0))).tolist())
 
     @property
     def n_pairs(self):
@@ -165,7 +168,7 @@ def _network(data):
 
 def covariate_magnitude(data):
     """Largest absolute covariate entry over all pairs (design magnitude), scanned once."""
-    return _network(data)._covariate_magnitude
+    return max(_network(data)._column_magnitudes)
 
 
 @dataclass(frozen=True)

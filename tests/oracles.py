@@ -10,7 +10,9 @@ solve is the reference for its joint Newton iteration.
 ``degree_init_ref`` is the half-link start the package's starting values
 are measured against.
 ``diagonal_inverse_approx`` and ``random_balanced_matrix`` are the
-balanced-class helpers behind acceptance criterion 7.
+balanced-class helpers behind acceptance criterion 7.  ``degree_residuals``
+is not independent: it reads F off the package's own evaluation, for the
+tests that difference it or check it at a root.
 The CSV readers at the end parse one field at a time with ``int`` and
 ``float`` and validate row by row, the reference for the array-based
 readers in ``netmoment.dataio``; ``write_table_ref`` sends every cell
@@ -28,6 +30,7 @@ from scipy.special import expit, ndtr, ndtri
 
 from netmoment.errors import DataError, NonConvergenceError
 from netmoment.estimation import (
+    _evaluate,
     bias_correct,
     check_interior_degrees,
     covariate_residuals,
@@ -81,6 +84,11 @@ def mean_ref(name, x):
     if name == "probit":
         return ndtr(x)
     raise ValueError(name)
+
+
+def normal_pdf_ref(x):
+    """The standard normal density exp(-x^2 / 2) / sqrt(2 pi), written directly."""
+    return 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x)
 
 
 def variance_ref(name, x):
@@ -247,6 +255,12 @@ def fixed_point_degree_solve_ref(data, family, gamma, config, beta_init=None,
         f"{max_iter} iterations (last residual {residual:.3e})",
         residual=residual,
     )
+
+
+def degree_residuals(data, family, beta, gamma):
+    """Observed minus expected degrees, one entry per node, evaluated as
+    ``netmoment.estimation.fit`` evaluates them."""
+    return _evaluate(data, family, beta, gamma)[1].f
 
 
 def profile_residuals(data, family, gamma, config=None, beta_init=None):

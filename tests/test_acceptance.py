@@ -15,7 +15,6 @@ import pytest
 from netmoment.estimation import (
     SolverConfig,
     degree_jacobian,
-    degree_residuals,
     fit,
     profile_jacobian,
     solve_degree_params,
@@ -27,6 +26,7 @@ from netmoment.simulation import CovariateRule, GenSpec, _rng_for, generate_with
 from conftest import build_fittable_instance, build_noise_free
 from oracles import (
     degree_init_ref,
+    degree_residuals,
     diagonal_inverse_approx,
     fd_jacobian,
     joint_solve_ref,

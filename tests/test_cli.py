@@ -22,6 +22,7 @@ from conftest import build_instance
 from netmoment import estimation
 from netmoment.cli import main
 from netmoment.dataio import read_pair_covariates, write_edges, write_pair_covariates
+from netmoment.network import NetworkData
 from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -349,6 +350,24 @@ class TestFit:
         assert err.startswith("error: ") and "boundary" in err
         assert re.search(r"nodes \[[^]]*\b5\b", err)
 
+    @pytest.mark.parametrize("family", ["logistic", "poisson", "probit"])
+    def test_oversized_covariate_exits_one_naming_the_column(self, family, tmp_path, capsys):
+        """A covariate column so large that the curvature's sums over the
+        pairs would overflow: one error line names the column, with no numpy
+        warning before it."""
+        data = _network(family, 30, seed=3)
+        z = data.covariates.copy()
+        z[:, 1] *= 1e155
+        edges, covariates = tmp_path / "edges.csv", tmp_path / "z.csv"
+        write_edges(edges, data)
+        write_pair_covariates(covariates, NetworkData(data.adjacency, z))
+        code = main(["fit", "--family", family, "--edges", str(edges),
+                     "--pair-covariates", str(covariates)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: covariate z2 has magnitude 1e+155, above the limit")
+
     def test_non_convergence_exits_two_with_trace(self, noisy_files, tmp_path, capsys):
         edges, covariates = noisy_files
         out = tmp_path / "fail.json"
@@ -627,7 +646,9 @@ def test_cli_processes_load_no_scipy(tmp_path, family, n):
     """``netmoment simulate`` and then ``netmoment fit``, each its own process
     as a user runs them, import no scipy module: no family needs one, not
     even lazily, on a small network or a larger one.  scipy.special alone
-    takes longer to import than the whole package."""
+    takes longer to import than the whole package.  Nor do they import
+    ``multiprocessing`` or ``concurrent.futures``: ``run_mc_study`` imports
+    its pool machinery itself, so processes that run no study skip it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     prefix = str(tmp_path / "net")
@@ -641,7 +662,8 @@ def test_cli_processes_load_no_scipy(tmp_path, family, n):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "import time:" in proc.stderr
-        loaded = re.findall(r"\|\s+(scipy(?:\.\S*)?)\s*$", proc.stderr, flags=re.MULTILINE)
+        loaded = re.findall(r"\|\s+((?:scipy|multiprocessing|concurrent)(?:\.\S*)?)\s*$",
+                            proc.stderr, flags=re.MULTILINE)
         assert loaded == [], (argv[0], loaded)
     assert json.loads(Path(prefix + "_fit.json").read_text())["converged"]
 

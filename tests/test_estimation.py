@@ -25,6 +25,7 @@ from oracles import (
     alternating_fit_ref,
     covariate_residuals_ref,
     degree_init_ref,
+    degree_residuals,
     degree_residuals_ref,
     fd_jacobian,
     fixed_point_degree_solve_ref,
@@ -46,7 +47,6 @@ from netmoment.estimation import (
     bias_correct,
     covariate_residuals,
     degree_jacobian,
-    degree_residuals,
     fit,
     homophily_bias,
     profile_jacobian,
@@ -733,6 +733,11 @@ class TestCurvaturePass:
         assert len(inside) == len(evaluations)
 
 
+def _pair_index(data, beta, gamma):
+    """beta_i + beta_j + z_ij . gamma for every pair, by fancy indexing."""
+    return beta[data.rows] + beta[data.cols] + data.covariates @ gamma
+
+
 class TestJacobianBuffer:
     """A fit writes every iterate's degree Jacobian into one (n, n) buffer."""
 
@@ -742,7 +747,7 @@ class TestJacobianBuffer:
         family = get_family(name)
         system = estimation._MomentSystem(data, family)
         system.v.fill(np.nan)
-        slope = family.mean_slope(estimation._pair_index(data, beta, gamma))
+        slope = family.mean_slope(_pair_index(data, beta, gamma))
         v = network.symmetric_from_pairs(9, -slope, -data.node_pair_sums(slope), system.v)
         assert v is system.v
         assert np.array_equal(v, degree_jacobian(data, family, beta, gamma))
@@ -797,7 +802,7 @@ class TestDegreeJacobianSolve:
         for n in (12, 100, 250):
             data = _gen_network(name, n, 601)
             result = fit(data, name)
-            pi = estimation._pair_index(data, result.beta, result.gamma)
+            pi = _pair_index(data, result.beta, result.gamma)
             slope = get_family(name).mean_slope(pi)
             rhs = np.random.default_rng(0).standard_normal((n, 3))
             rhs[:, 1] = 0.0
@@ -831,7 +836,7 @@ class TestDegreeJacobianSolve:
         n = 250
         data = _gen_network("poisson", n, 609)
         slope = get_family("poisson").mean_slope(
-            estimation._pair_index(data, np.zeros(n), np.array([0.5, -0.5])))
+            _pair_index(data, np.zeros(n), np.array([0.5, -0.5])))
         slope_sums = data.node_pair_sums(slope)
         rhs = np.random.default_rng(609).standard_normal((n, 2))
         with warnings.catch_warnings():
@@ -1079,3 +1084,92 @@ class TestStandardErrors:
         ratio = med_se / mc_sd
         assert np.all(ratio > 0.75)
         assert np.all(ratio < 1.25)
+
+
+# covariate magnitudes whose sums over pairs overflowed in the curvature and
+# the covariate residuals before the scale check, and subnormal ones
+_EXTREMES = (1.7e308, 1e300, 1e160, 1e154, 1e-300, 5e-324)
+
+
+@st.composite
+def _finite_networks(draw):
+    """n from 3 to 10 and p of 1 or 2, binary weights or counts up to 3, and
+    covariate cells from (-3, 3), from the extremes with either sign, or any
+    finite float."""
+    n, p = draw(st.integers(3, 10)), draw(st.integers(1, 2))
+    rows, cols = pair_indices(n)
+    top = draw(st.sampled_from([1, 3]))
+    adjacency = np.zeros((n, n))
+    adjacency[rows, cols] = draw(st.lists(st.integers(0, top), min_size=rows.size,
+                                          max_size=rows.size))
+    adjacency += adjacency.T
+    cell = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_EXTREMES + tuple(-v for v in _EXTREMES)),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    z = draw(st.lists(cell, min_size=rows.size * p, max_size=rows.size * p))
+    return NetworkData(adjacency, np.reshape(z, (rows.size, p)))
+
+
+class TestOversizedCovariates:
+    def test_rejected_before_any_product_naming_the_column(self):
+        """Covariates at 1e155 overflowed the curvature's sums at n = 30
+        ("overflow encountered in matmul"); every entry point now names the
+        column, its magnitude and the limit."""
+        data = generate_with_truth(GenSpec(n=30, gamma_star=(0.5, -0.5),
+                                           covariates=CovariateRule(p=2), seed=3)).data
+        z = data.covariates.copy()
+        z[:, 1] *= 1e155 / np.abs(z[:, 1]).max()
+        big = NetworkData(data.adjacency, z)
+        message = r"covariate z2 has magnitude 1e\+155, above the limit 4\.02e\+151 for 30 nodes"
+        beta, gamma = np.zeros(30), np.zeros(2)
+        with pytest.raises(DataError, match=message):
+            fit(big, "logistic")
+        with pytest.raises(DataError, match=message):
+            solve_degree_params(big, "logistic", gamma)
+        for helper in (degree_jacobian, covariate_residuals, profile_jacobian, homophily_bias,
+                       standard_errors):
+            with pytest.raises(DataError, match=message):
+                helper(big, "probit", beta, gamma)
+
+    def test_large_covariates_below_the_limit_are_fitted_as_before(self):
+        """At 1e150 the sums stay finite: the fit ends as it did before the
+        check, in the documented NonConvergenceError."""
+        data = generate_with_truth(GenSpec(n=30, gamma_star=(0.5,), seed=3)).data
+        with pytest.raises(NonConvergenceError, match="joint solver stalled"):
+            fit(NetworkData(data.adjacency, data.covariates * 1e150), "logistic")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_finite_networks(), name=st.sampled_from(FAMILIES))
+    def test_fit_on_finite_input_returns_or_raises_a_netmoment_error(self, data, name):
+        """pyproject.toml makes a RuntimeWarning an error, so an overflow
+        inside the fit fails this test as well as a leaked numpy error."""
+        try:
+            fit(data, name)
+        except NetmomentError:
+            pass
+
+    @pytest.mark.parametrize("name, weights, z, error, match", [
+        # degree Jacobian singular in floats: CG divided by p.ap == 0
+        ("poisson", [1, 0, 0, 0, 0, 1],
+         [[0.018892331553901798], [-1.4574762296732664], [-2.260451957895209],
+          [-1.2542050749419837], [1.7105358332084035e+152], [-0.9561162509935035]],
+         NonConvergenceError, "degree Jacobian solve broke down"),
+        # H passed the invertibility test yet is singular to LAPACK
+        ("logistic", [0, 1, 0, 1, 1, 0, 1, 0, 0, 0],
+         [[-1.3676377908909905, -2.1675027157532973], [-1.266493541997367, 2.647300767324827e+152],
+          [-2.317304890432796, 1.4328091618887377], [-1.6418121591795183, -1.7294594695020382],
+          [-0.4383229753563862, 2.605677689017554], [6.624876795107175e+151, 2.64995071804287e+150],
+          [-0.029585070874579955, -2.0728451790096543], [-2.750594361274032, 2.0414054731768347],
+          [-2.901198486276061, 0.7938463376598301], [-0.669187422614228, 2.932082672885178]],
+         SingularDesignError, "profile Jacobian is singular"),
+    ])
+    def test_breakdowns_below_the_limit_raise_documented_errors(self, name, weights, z, error,
+                                                                 match):
+        """Covariates just below the limit on networks with no finite root
+        once warned ("divide by zero encountered in scalar divide") or leaked
+        numpy's LinAlgError from a Newton step."""
+        n = 4 if len(weights) == 6 else 5
+        rows, cols = pair_indices(n)
+        adjacency = np.zeros((n, n))
+        adjacency[rows, cols] = weights
+        with pytest.raises(error, match=match):
+            fit(NetworkData(adjacency + adjacency.T, z), name)

@@ -27,7 +27,6 @@ from netmoment import (
     fit,
     generate_with_truth,
     get_family,
-    homophily_bias,
     pair_count,
     pair_offset,
     parse_study_config,
@@ -35,13 +34,12 @@ from netmoment import (
     read_edges,
     run_mc_study,
     solve_degree_params,
-    standard_errors,
     write_edges,
     write_pair_covariates,
 )
 from netmoment.errors import DataError, NetmomentError, _finite, _integer
 from netmoment.estimation import (
-    check_interior_degrees, covariate_residuals, degree_jacobian, degree_residuals)
+    check_interior_degrees, covariate_residuals, degree_jacobian, homophily_bias, standard_errors)
 from netmoment.network import covariate_magnitude
 from netmoment.simulation import _worker_count
 
@@ -76,7 +74,7 @@ def _estimation_calls():
         "bias_correct.n": lambda v: bias_correct(gamma, result.profile_hessian, result.bias, v),
     }
     for function in (standard_errors, homophily_bias, profile_jacobian, degree_jacobian,
-                     degree_residuals, covariate_residuals):
+                     covariate_residuals):
         name = function.__name__
         calls[f"{name}.data"] = lambda v, f=function: f(v, "logistic", beta, gamma)
         calls[f"{name}.family"] = lambda v, f=function: f(data, v, beta, gamma)
@@ -190,8 +188,6 @@ PROBES = {
     "fit('x', 'logistic')": lambda data, fitted: fit("x", "logistic"),
     "standard_errors('x', ...)":
         lambda data, fitted: standard_errors("x", "logistic", fitted.beta, fitted.gamma),
-    "degree_residuals('x', ...)":
-        lambda data, fitted: degree_residuals("x", "logistic", fitted.beta, fitted.gamma),
     "write_edges(path, 'x')": lambda data, fitted: write_edges(os.devnull, "x"),
     "generate_with_truth('x')": lambda data, fitted: generate_with_truth("x"),
     "generate_with_truth(spec, rng=1)":

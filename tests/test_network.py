@@ -248,6 +248,13 @@ class TestCovariateMagnitude:
         data = _random_network(7, 2, 8)
         assert covariate_magnitude(data) is covariate_magnitude(data)
 
+    def test_one_magnitude_per_column_never_negative_zero(self):
+        data = _random_network(7, 2, 8)
+        assert data._column_magnitudes == tuple(np.abs(data.covariates).max(axis=0).tolist())
+        z = np.zeros((6, 2))
+        z[:, 1] = -0.0
+        assert str(NetworkData(np.zeros((4, 4)), z)._column_magnitudes) == "(0.0, 0.0)"
+
 
 class TestBalancedClass:
     def test_three_node_member(self):
