@@ -10,6 +10,7 @@ the covariate residuals, and the degree step by back-substitution.  The degree
 equations alone, at fixed coefficients, are solved by the same iteration.
 H at the root doubles as the curvature matrix for the analytic
 incidental-parameter bias correction and for sandwich standard errors.
+One method, ``_MomentSystem.curvature``, writes V, solves it and forms H.
 
 -V is diagonally balanced: the pair slopes off the diagonal and their node
 sums on it.  Its inverse is close to the inverse of its diagonal, so each
@@ -184,7 +185,6 @@ class _Curvature(NamedTuple):
     ``solved_f`` is V^{-1} F when the degree residuals F were given.
     """
 
-    slope: np.ndarray
     slope_sums: np.ndarray
     solved: np.ndarray
     h: np.ndarray
@@ -197,6 +197,9 @@ class _Curvature(NamedTuple):
 # steps there.
 _CG_MAX_STEPS = 100
 _CG_RTOL = 1e-14
+# Relative residual past which a CG solve has broken down: on a V singular in
+# floats it can leap past 1e30 within two steps; on a regular V it stays below 2.
+_CG_BREAKDOWN = 1e8
 # Largest relative residual of a Newton step's CG solve (the forcing term's cap).
 # Six n=600 networks per family: CG steps 948 -> 397 (Poisson), 828 -> 441
 # (logistic), 897 -> 415 (probit) with the same iterates.  54 fits (3 families,
@@ -216,20 +219,22 @@ def _cg(a, diagonal, b, rtol=_CG_RTOL):
     ``_CG_RTOL`` (a Newton step's) returns its iterate; one to ``_CG_RTOL``
     raises ``NonConvergenceError``, as does a breakdown: an ``a`` singular in
     floats, whose slopes underflow where no finite root exists, can make p.ap
-    vanish or the iterates overflow."""
+    vanish, the iterates overflow or the relative residual pass
+    ``_CG_BREAKDOWN``."""
     shift = -np.frexp(diagonal.max())[1]
     diagonal, b = np.ldexp(diagonal, shift), np.ldexp(b, shift)
     x, r = np.zeros_like(b), b.copy()
     z = r / diagonal
     p, rz = z, r @ z
-    stop, steps = rtol**2 * (b @ b), 0
-    while r @ r > stop:
+    bb, steps = b @ b, 0
+    stop, breakdown = rtol**2 * bb, _CG_BREAKDOWN**2 * bb
+    while (rr := r @ r) > stop and rr <= breakdown:
         if steps == _CG_MAX_STEPS:
             if rtol > _CG_RTOL:
                 break
             raise NonConvergenceError(
                 f"degree Jacobian solve did not converge within {steps} conjugate-gradient "
-                f"steps (relative residual {np.sqrt((r @ r) / (b @ b)):.3e})")
+                f"steps (relative residual {np.sqrt(rr / bb):.3e})")
         steps += 1
         ap = np.ldexp(a @ p, shift)
         alpha = rz / (p @ ap)
@@ -238,44 +243,28 @@ def _cg(a, diagonal, b, rtol=_CG_RTOL):
         z = r / diagonal
         rz, rz_before = r @ z, rz
         p = z + (rz / rz_before) * p
-    if not np.isfinite(x).all():
+    if not (rr <= breakdown and np.isfinite(x).all()):
         raise NonConvergenceError(f"degree Jacobian solve broke down after {steps} "
                                   "conjugate-gradient steps: the Jacobian is singular in floats")
     return x
 
 
-def _solve_degree_jacobian(n, slope, slope_sums, rhs, out=None, rtol=_CG_RTOL):
-    """V^{-1} rhs for the degree Jacobian V of pair ``slope`` with node sums ``slope_sums``.
-
-    -V, the slope sums on the diagonal and the slopes off it, is written into
-    ``out`` (a new (n, n) array when None).  It is symmetric positive definite
-    when every slope is positive.  Each column is solved by ``_cg`` to
-    relative residual ``rtol``.  Raises ``SingularDesignError`` when some
-    node's slopes sum to zero, so that its row of V vanishes.
-    """
+def _slope_sums(data, slope):
+    """The node sums of the pair ``slope``, the diagonal of -V; SingularDesignError
+    when one of them is zero, so that its row of V vanishes."""
+    slope_sums = data.node_pair_sums(slope)
     if not slope_sums.min() > 0.0:
         raise SingularDesignError("degree Jacobian is singular: the mean slopes of nodes "
                                   f"{np.nonzero(~(slope_sums > 0.0))[0].tolist()} sum to zero")
-    a = symmetric_from_pairs(n, slope, slope_sums, out)
-    solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
-    return np.negative(solved, out=solved)
+    return slope_sums
 
 
-def _curvature(data, z, slope, slope_sums=None, f=None, v=None, rtol=_CG_RTOL):
-    slope_sums = data.node_pair_sums(slope) if slope_sums is None else slope_sums
-    zs = z.T * slope  # (p, n_pairs), one contiguous row per column of z
-    dq_dgamma = -(zs @ z)
-    df_dgamma = -data.node_pair_sums(zs.T)
-    del zs
-    # one solve of V serves F's column too when a step needs it
-    rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
-    solved = _solve_degree_jacobian(data.n, slope, slope_sums, rhs, v, rtol)
-    solved_f = None
-    if f is not None:
-        solved_f, solved = solved[:, 0], solved[:, 1:]
-    h = dq_dgamma - df_dgamma.T @ solved
-    scale = float(np.abs(dq_dgamma).max(initial=0.0))
-    return _Curvature(slope, slope_sums, solved, h, scale, solved_f)
+def _solve_h(h, b):
+    """H^{-1} b; SingularDesignError where LAPACK finds the profile Jacobian H singular."""
+    try:
+        return np.linalg.solve(h, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
 
 
 def _assert_profile_invertible(h, scale, slack=0.0):
@@ -326,8 +315,8 @@ class _MomentSystem:
     ``z`` has no columns, the covariate term is the fixed ``offset``, Q is
     empty and the system is the degree equations alone.  Its curvatures
     share the (n, n) buffer ``v``.  Every estimation function evaluates the
-    model through this class, which first rejects covariates too large for
-    its sums (``_check_covariate_scale``).
+    model, and its curvature, through this class, which first rejects
+    covariates too large for its sums (``_check_covariate_scale``).
     """
 
     def __init__(self, data, family, gamma=None):
@@ -350,6 +339,37 @@ class _MomentSystem:
         q = self.z.T @ (data.pair_weights - mu)
         f_norm, q_norm = float(np.abs(f).max()), float(np.abs(q).max(initial=0.0))
         return _Iterate(beta, gamma, pi, mu, slope, f, q, f_norm, q_norm, max(f_norm, q_norm))
+
+    def curvature(self, slope, slope_sums, f=None, rtol=_CG_RTOL):
+        """The ``_Curvature`` at pair ``slope`` with positive node sums ``slope_sums``.
+
+        Writes -V (the sums on the diagonal, the slopes off it: symmetric
+        positive definite) into ``v`` and solves it by ``_cg`` to relative
+        residual ``rtol`` against dF/dgamma, and the degree residuals ``f`` if given.
+        """
+        zs = self.z.T * slope  # (p, n_pairs), one contiguous row per column of z
+        dq_dgamma = -(zs @ self.z)
+        df_dgamma = -self.data.node_pair_sums(zs.T)
+        del zs
+        rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
+        a = symmetric_from_pairs(self.data.n, slope, slope_sums, self.v)
+        solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
+        np.negative(solved, out=solved)
+        solved_f = None
+        if f is not None:
+            solved_f, solved = solved[:, 0], solved[:, 1:]
+        h = dq_dgamma - df_dgamma.T @ solved
+        scale = float(np.abs(dq_dgamma).max(initial=0.0))
+        return _Curvature(slope_sums, solved, h, scale, solved_f)
+
+    def bias(self, state, slope_sums):
+        """Leading incidental-parameter bias of the coefficients at ``state``,
+        given the node sums ``slope_sums`` of its slopes (see ``homophily_bias``)."""
+        data = self.data
+        m2 = self.family._mean_curvature(state.pi, state.mu, state.slope)
+        weighted = data.node_pair_sums((self.z.T * m2).T)
+        n_ordered = data.n * (data.n - 1)
+        return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
 
     def solve(self, beta, gamma, tol_f, tol_q, max_steps, trace=None):
         """Safeguarded Newton iteration from (beta, gamma).
@@ -379,8 +399,8 @@ class _MomentSystem:
     def _step(self, state, start):
         """One inexact Newton step (see the module docstring), halved until
         the larger residual norm falls; ``start`` is the merit at the first iterate."""
-        data, slope, merit = self.data, state.slope, state.merit
-        slope_sums = data.node_pair_sums(slope)
+        slope, merit = state.slope, state.merit
+        slope_sums = self.data.node_pair_sums(slope)
         if not np.all(slope_sums > 0.0):
             raise NonConvergenceError(
                 f"{self.label} diverged: mean-slope row sums underflowed "
@@ -388,7 +408,7 @@ class _MomentSystem:
                 residual=merit,
             )
         rtol = max(_CG_RTOL, min(_CG_FORCING_CAP, merit / start))
-        curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v, rtol)
+        curv = self.curvature(slope, slope_sums, state.f, rtol)
         if self.z.shape[1]:
             slack = 0.0 if rtol == _CG_RTOL else rtol
             try:
@@ -397,13 +417,10 @@ class _MomentSystem:
                 if not slack:
                     raise
                 # the inexact H is near a threshold: decide on the exact one
-                curv = _curvature(data, self.z, slope, slope_sums, state.f, self.v)
+                curv = self.curvature(slope, slope_sums, state.f)
                 _assert_profile_invertible(curv.h, curv.scale)
         # the Schur complement H gives the coefficient step, back-substitution the degree step
-        try:
-            d_gamma = -np.linalg.solve(curv.h, state.q - curv.solved.T @ state.f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
+        d_gamma = -_solve_h(curv.h, state.q - curv.solved.T @ state.f)
         d_beta = -(curv.solved_f + curv.solved @ d_gamma)
         if not (np.all(np.isfinite(d_beta)) and np.all(np.isfinite(d_gamma))):
             raise NonConvergenceError(
@@ -434,7 +451,7 @@ def covariate_residuals(data, family, beta, gamma):
 
 
 @_one_blas_thread
-def solve_degree_params(data, family, gamma, config=None, beta_init=None):
+def solve_degree_params(data, family, gamma, config=None):
     """Solve the degree equations at fixed homophily coefficients.
 
     Takes the Newton steps of ``fit`` with the coefficients held fixed, so
@@ -446,16 +463,13 @@ def solve_degree_params(data, family, gamma, config=None, beta_init=None):
     residual checks, one more than the Newton steps taken.  Raises
     ``NonConvergenceError`` when the slope sums underflow, a step is not
     finite, no halving of a step lowers the residual, or the cap is reached.
-    Starts far below the root stall ("degree solver stalled"): from a Poisson
-    ``beta_init`` of about -40 or less, F moves by less than its own rounding.
+    The iteration starts at the degree parameters ``fit`` starts at.
     """
     family = get_family(family)
     config = _solver_config(config)
     check_interior_degrees(data, family)
 
-    if beta_init is None:
-        beta_init = initial_degree_params(family, data.degrees, data.n)
-    beta = np.array(_finite("beta_init", beta_init, (data.n,)))  # a copy: it may be returned
+    beta = initial_degree_params(family, data.degrees, data.n)
     system = _MomentSystem(data, family, _finite("gamma", gamma, (data.n_covariates,)))
     state, iterations = system.solve(beta, np.zeros(0), config.tol_f, np.inf, config.max_outer)
     return state.beta, iterations, state.f_norm
@@ -471,15 +485,7 @@ def profile_jacobian(data, family, beta, gamma):
     uses it at the root for bias correction and standard errors.
     """
     system, state = _evaluate(data, family, beta, gamma)
-    return _curvature(data, system.z, state.slope, v=system.v).h
-
-
-def _homophily_bias(data, m2, slope_sums):
-    if np.any(slope_sums <= 0.0):
-        raise DataError("mean-slope row sums must be strictly positive")
-    weighted = data.node_pair_sums((data.covariates.T * m2).T)
-    n_ordered = data.n * (data.n - 1)
-    return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
+    return system.curvature(state.slope, _slope_sums(data, state.slope)).h
 
 
 def homophily_bias(data, family, beta, gamma):
@@ -490,8 +496,7 @@ def homophily_bias(data, family, beta, gamma):
     N = n (n - 1) ordered pairs.
     """
     system, state = _evaluate(data, family, beta, gamma)
-    m2 = system.family._mean_curvature(state.pi, state.mu, state.slope)
-    return _homophily_bias(data, m2, data.node_pair_sums(state.slope))
+    return system.bias(state, _slope_sums(data, state.slope))
 
 
 def bias_correct(gamma, profile_hessian, bias, n):
@@ -499,10 +504,7 @@ def bias_correct(gamma, profile_hessian, bias, n):
     gamma = np.atleast_1d(_finite("gamma", gamma))
     bias = _finite("bias", bias, gamma.shape)
     n_ordered = _integer("n", n, 2) * (n - 1)
-    try:
-        step = np.linalg.solve(_finite("profile_hessian", profile_hessian, gamma.shape * 2), bias)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
+    step = _solve_h(_finite("profile_hessian", profile_hessian, gamma.shape * 2), bias)
     return gamma - np.sqrt(n_ordered) * step
 
 
@@ -516,10 +518,7 @@ def _standard_errors(data, family, curv, mu):
     score = data.covariates.T - proj.take(data.rows, axis=1) - proj.take(data.cols, axis=1)
     score *= data.pair_weights - mu
     omega_sum = score @ score.T
-    try:
-        cov_gamma = np.linalg.solve(curv.h, np.linalg.solve(curv.h, omega_sum).T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"profile Jacobian is singular: {exc}") from exc
+    cov_gamma = _solve_h(curv.h, _solve_h(curv.h, omega_sum).T)
     return se_beta, np.sqrt(np.diag(cov_gamma))
 
 
@@ -533,19 +532,19 @@ def standard_errors(data, family, beta, gamma):
     per-pair scores.  Valid under independent dyads.
     """
     system, state = _evaluate(data, family, beta, gamma)
-    curv = _curvature(data, system.z, state.slope, v=system.v)
+    curv = system.curvature(state.slope, _slope_sums(data, state.slope))
     _assert_profile_invertible(curv.h, curv.scale)
     return _standard_errors(data, system.family, curv, state.mu)
 
 
-def _diagnostics(data, curv):
+def _diagnostics(data, slope, h):
     n_ordered = data.n * (data.n - 1)
-    hbar = curv.h / n_ordered
+    hbar = h / n_ordered
     eigvals = np.linalg.eigvalsh(0.5 * (hbar + hbar.T))
     return {
         # extreme off-diagonal entries of the balanced matrix -V
-        "m_n": float(curv.slope.min()),
-        "M_n": float(curv.slope.max()),
+        "m_n": float(slope.min()),
+        "M_n": float(slope.max()),
         "kappa_n": covariate_magnitude(data),
         # invertibility margin: magnitude of the eigenvalue closest to zero
         "lambda_min_Hbar": float(np.abs(eigvals).min()),
@@ -573,7 +572,8 @@ def fit(data, family, config=None):
     ``_check_covariate_scale``), ``SingularDesignError`` for collinear
     covariate designs, and ``NonConvergenceError`` when ``config.max_outer``
     iterates do not reach the tolerances, a step diverges or stalls, a
-    conjugate-gradient solve of the degree Jacobian breaks down or, to
+    conjugate-gradient solve of the degree Jacobian breaks down (its iterate
+    leaves the float range or its relative residual passes 1e8) or, to
     1e-14, takes 100 steps without converging, or some pair's mean slope is
     exactly zero at the converged iterate (saturated means meet the
     tolerances with no finite root).  Both of the latter carry the trace of
@@ -601,10 +601,9 @@ def fit(data, family, config=None):
                 f"(last residual {state.merit:.3e})",
                 residual=state.merit,
             )
-        curv = _curvature(data, data.covariates, slope, v=system.v)
+        curv = system.curvature(slope, _slope_sums(data, slope))
         _assert_profile_invertible(curv.h, curv.scale)
-        bias = _homophily_bias(data, family._mean_curvature(state.pi, state.mu, slope),
-                               curv.slope_sums)
+        bias = system.bias(state, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)
         se_beta, se_gamma = _standard_errors(data, family, curv, state.mu)
     except (NonConvergenceError, SingularDesignError) as exc:
@@ -622,6 +621,6 @@ def fit(data, family, config=None):
         iterations=iterations,
         residual_degree=state.f_norm,
         residual_covariate=state.q_norm,
-        diagnostics=_diagnostics(data, curv),
+        diagnostics=_diagnostics(data, slope, curv.h),
         trace=trace,
     )

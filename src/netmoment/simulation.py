@@ -299,7 +299,8 @@ def _rate_slope(n_values, medians, predictor):
 def run_mc_study(specs, replicates, config=None):
     """Fit generated networks over a grid of specs and summarize.
 
-    Each spec in the grid is run for ``replicates`` replicates.  Replicates
+    The specs share one family, the report's; specs of different families
+    raise ``DataError``.  Each spec in the grid is run for ``replicates`` replicates.  Replicates
     with degenerate degrees are regenerated up to 10 times (fresh stream
     per attempt) and recorded as failures if still degenerate; fitting
     errors are recorded as failures as well.  Workers run in parallel when
@@ -318,6 +319,9 @@ def run_mc_study(specs, replicates, config=None):
         raise DataError("need at least one generation spec")
     if not all(isinstance(spec, GenSpec) for spec in specs):
         raise DataError("specs must be GenSpec instances")
+    families = sorted({spec.family for spec in specs})
+    if len(families) > 1:
+        raise DataError(f"specs of one study must share a family, got {', '.join(families)}")
     config = _solver_config(config)
 
     # largest networks first, so that no worker is left with the slowest fit at the end

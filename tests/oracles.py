@@ -30,7 +30,9 @@ from scipy.special import expit, ndtr, ndtri
 
 from netmoment.errors import DataError, NonConvergenceError
 from netmoment.estimation import (
+    SolverConfig,
     _evaluate,
+    _MomentSystem,
     bias_correct,
     check_interior_degrees,
     covariate_residuals,
@@ -200,8 +202,7 @@ def log_ratio_degree_solve_ref(adjacency, covariates, gamma, tol=1e-10, max_iter
     raise RuntimeError(f"log-ratio fixed point did not reach tol={tol}")
 
 
-def fixed_point_degree_solve_ref(data, family, gamma, config, beta_init=None,
-                                 damping=0.5, max_iter=20000):
+def fixed_point_degree_solve_ref(data, family, gamma, config, damping=0.5, max_iter=20000):
     """Degree parameters by the damped diagonal fixed point.
 
     The reference algorithm: damped quasi-Newton steps
@@ -222,10 +223,7 @@ def fixed_point_degree_solve_ref(data, family, gamma, config, beta_init=None,
     gamma = np.asarray(gamma, dtype=float)
     zg = data.covariates @ gamma
     d = data.degrees
-    if beta_init is None:
-        beta = initial_degree_params(family, d, data.n)
-    else:
-        beta = np.array(beta_init, dtype=float)
+    beta = initial_degree_params(family, d, data.n)
 
     residual = np.inf
     for it in range(1, max_iter + 1):
@@ -263,9 +261,20 @@ def degree_residuals(data, family, beta, gamma):
     return _evaluate(data, family, beta, gamma)[1].f
 
 
-def profile_residuals(data, family, gamma, config=None, beta_init=None):
+def degree_solve_from(data, family, gamma, beta, config=None):
+    """``netmoment.estimation.solve_degree_params``'s iteration started at
+    ``beta``: the far starts that its step safeguards are tested from, and
+    the warm starts of ``alternating_fit_ref``."""
+    config = config or SolverConfig()
+    system = _MomentSystem(data, get_family(family), np.asarray(gamma, dtype=float))
+    state, iterations = system.solve(np.array(beta, dtype=float), np.zeros(0), config.tol_f,
+                                     np.inf, config.max_outer)
+    return state.beta, iterations, state.f_norm
+
+
+def profile_residuals(data, family, gamma, config=None):
     """Covariate residuals with the degree parameters concentrated out."""
-    beta, _, _ = solve_degree_params(data, family, gamma, config, beta_init)
+    beta, _, _ = solve_degree_params(data, family, gamma, config)
     return covariate_residuals(data, family, beta, gamma)
 
 
@@ -282,7 +291,7 @@ def alternating_fit_ref(data, family, config):
     beta = initial_degree_params(family, data.degrees, data.n)
     gamma = np.zeros(data.n_covariates)
     for _ in range(config.max_outer):
-        beta, _, _ = solve_degree_params(data, family, gamma, config, beta_init=beta)
+        beta, _, _ = degree_solve_from(data, family, gamma, beta, config)
         qc = covariate_residuals(data, family, beta, gamma)
         h = profile_jacobian(data, family, beta, gamma)
         if np.abs(qc).max() <= config.tol_q:

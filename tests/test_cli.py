@@ -6,6 +6,7 @@ module entry point wiring.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from netmoment.simulation import CovariateRule, GenSpec, generate_with_truth
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH_REFERENCE = SRC.parent / "bench" / "reference.json"
 N_NODES = 12
 BETA_STAR = ",".join(["0.2"] * N_NODES)
 
@@ -97,6 +99,18 @@ class TestSimulate:
             a = (tmp_path / f"a{name}").read_bytes()
             b = (tmp_path / f"b{name}").read_bytes()
             assert a == b
+
+    def test_csvs_match_the_benchmark_reference_hashes(self, tmp_path):
+        """A logistic n=600 simulate writes the bytes whose SHA-256 the
+        benchmark reference records, on any numpy the package supports; the
+        benchmark's own check of them needs Python 3.11."""
+        expected = json.loads(BENCH_REFERENCE.read_text())["fit"]["logistic"][0]
+        prefix = tmp_path / "net"
+        assert main(["simulate", "--family", "logistic", "--n", "600", "--gamma-star", "0.5,-0.5",
+                     "--seed", str(expected["seed"]), "--out", str(prefix)]) == 0
+        for kind, digest in expected["csv_sha256"].items():
+            got = hashlib.sha256(Path(f"{prefix}_{kind}.csv").read_bytes()).hexdigest()
+            assert got == digest, kind
 
     @pytest.mark.parametrize("gamma_star, message", [
         ("a,b", "error: --gamma-star must be comma-separated numbers: 'a,b'\n"),

@@ -27,6 +27,7 @@ from oracles import (
     degree_init_ref,
     degree_residuals,
     degree_residuals_ref,
+    degree_solve_from,
     fd_jacobian,
     fixed_point_degree_solve_ref,
     joint_solve_ref,
@@ -260,9 +261,7 @@ class TestDegreeSolver:
         # from beta = -5 the first full Poisson step puts indices beyond the
         # range of exp; such a trial counts as rejected, not as a data error
         data, _, gamma = build_instance("poisson", 15, 2, seed=3)
-        beta, _, residual = solve_degree_params(
-            data, "poisson", gamma, TIGHT, beta_init=np.full(15, -5.0)
-        )
+        beta, _, residual = degree_solve_from(data, "poisson", gamma, np.full(15, -5.0), TIGHT)
         assert residual <= TIGHT.tol_f
         beta_ref, _, _ = fixed_point_degree_solve_ref(data, "poisson", gamma, TIGHT)
         assert np.abs(beta - beta_ref).max() <= 1e-9
@@ -273,13 +272,13 @@ class TestDegreeSolver:
         # stays inside exp's range; capped at 1e6, it is halved into range
         data, _, gamma = build_instance("poisson", 15, 2, seed=3)
         start = np.full(15, -20.0)
-        beta, _, residual = solve_degree_params(data, "poisson", gamma, TIGHT, beta_init=start)
+        beta, _, residual = degree_solve_from(data, "poisson", gamma, start, TIGHT)
         assert residual <= TIGHT.tol_f
         beta_ref, _, _ = fixed_point_degree_solve_ref(data, "poisson", gamma, TIGHT)
         assert np.abs(beta - beta_ref).max() <= 1e-9
         monkeypatch.setattr(estimation, "_MAX_STEP", np.inf)
         with pytest.raises(NonConvergenceError, match="stalled"):
-            solve_degree_params(data, "poisson", gamma, TIGHT, beta_init=start)
+            degree_solve_from(data, "poisson", gamma, start, TIGHT)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_converges_for_all_families(self, name):
@@ -660,22 +659,18 @@ class TestCurvaturePass:
 
     def test_degree_jacobian_built_and_solved_once_per_iterate(self, monkeypatch):
         data, _, _ = build_instance("logistic", 12, 2, seed=221)
-        builds, solves = [], []
-        assemble, solve = estimation.symmetric_from_pairs, estimation._solve_degree_jacobian
+        builds = []
+        assemble = estimation.symmetric_from_pairs
 
         def counting_assemble(n, pair_values, diagonal, out=None):
             builds.append(1)
             return assemble(n, pair_values, diagonal, out)
 
-        def counting_solve(*args):
-            solves.append(1)
-            return solve(*args)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("fit must not test the balanced class")
 
         monkeypatch.setattr(estimation, "symmetric_from_pairs", counting_assemble)
-        monkeypatch.setattr(estimation, "_solve_degree_jacobian", counting_solve)
+        solves = _count_calls(monkeypatch, estimation._MomentSystem, "curvature")
         monkeypatch.setattr(network, "check_diagonally_balanced", forbidden)
         monkeypatch.setattr(estimation, "check_diagonally_balanced", forbidden)
         result = fit(data, "logistic")
@@ -731,6 +726,11 @@ class TestCurvaturePass:
         assert slopes == []
         assert outside == []
         assert len(inside) == len(evaluations)
+
+
+def _solve_columns(system, slope, slope_sums, rhs):
+    """V^{-1} rhs, one column at a time as the degree residuals of a step's curvature."""
+    return np.column_stack([system.curvature(slope, slope_sums, b).solved_f for b in rhs.T])
 
 
 def _pair_index(data, beta, gamma):
@@ -806,7 +806,8 @@ class TestDegreeJacobianSolve:
             slope = get_family(name).mean_slope(pi)
             rhs = np.random.default_rng(0).standard_normal((n, 3))
             rhs[:, 1] = 0.0
-            solved = estimation._solve_degree_jacobian(n, slope, data.node_pair_sums(slope), rhs)
+            solved = _solve_columns(estimation._MomentSystem(data, get_family(name)),
+                                    slope, data.node_pair_sums(slope), rhs)
             expected = np.linalg.solve(degree_jacobian(data, name, result.beta, result.gamma), rhs)
             assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max(), n
             assert not solved[:, 1].any()  # a zero column gives a zero solution
@@ -839,11 +840,11 @@ class TestDegreeJacobianSolve:
             _pair_index(data, np.zeros(n), np.array([0.5, -0.5])))
         slope_sums = data.node_pair_sums(slope)
         rhs = np.random.default_rng(609).standard_normal((n, 2))
+        system = estimation._MomentSystem(data, get_family("poisson"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            scaled = estimation._solve_degree_jacobian(
-                n, slope * scale, slope_sums * scale, rhs * scale)
-        assert np.array_equal(scaled, estimation._solve_degree_jacobian(n, slope, slope_sums, rhs))
+            scaled = _solve_columns(system, slope * scale, slope_sums * scale, rhs * scale)
+        assert np.array_equal(scaled, _solve_columns(system, slope, slope_sums, rhs))
 
     def test_far_start_runs_without_overflow(self):
         """Residuals near 1e156 from a Poisson start far above the root do
@@ -852,8 +853,8 @@ class TestDegreeJacobianSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonConvergenceError, match="within 3 iterations"):
-                solve_degree_params(data, "poisson", np.array([0.5, -0.5]),
-                                    SolverConfig(max_outer=3), beta_init=np.full(250, 180.0))
+                degree_solve_from(data, "poisson", np.array([0.5, -0.5]), np.full(250, 180.0),
+                                  SolverConfig(max_outer=3))
 
     @pytest.mark.parametrize("n", [20, 250])
     def test_vanishing_slope_sum_is_singular(self, n):
@@ -869,7 +870,7 @@ class TestDegreeJacobianSolve:
                 with pytest.raises(SingularDesignError, match="degree Jacobian is singular"):
                     function(data, "logistic", beta, gamma)
             with pytest.raises(NonConvergenceError, match="slope row sums underflowed") as excinfo:
-                solve_degree_params(data, "logistic", gamma, beta_init=beta)
+                degree_solve_from(data, "logistic", gamma, beta)
         # node 0's means all round to 1, so its residual is the degree it lacks
         assert excinfo.value.residual == n - 1 - data.degrees[0]
 
@@ -997,10 +998,14 @@ class TestHomophilyBias:
         got = homophily_bias(data, name, beta, gamma)
         assert_allclose(got, expected, rtol=1e-10)
 
-    def test_underflowed_slopes_rejected(self):
+    @pytest.mark.parametrize("function", [profile_jacobian, standard_errors, homophily_bias])
+    def test_underflowed_slopes_rejected(self, function):
+        """Every helper rejects vanishing slope sums with the one message."""
         data, _, _ = build_instance("logistic", 6, 1, seed=231)
-        with pytest.raises(DataError):
-            homophily_bias(data, "logistic", np.full(6, -400.0), np.zeros(1))
+        with pytest.raises(SingularDesignError) as excinfo:
+            function(data, "logistic", np.full(6, -400.0), np.zeros(1))
+        assert str(excinfo.value) == ("degree Jacobian is singular: the mean slopes of nodes "
+                                      "[0, 1, 2, 3, 4, 5] sum to zero")
 
 
 class TestBiasCorrect:
@@ -1161,12 +1166,20 @@ class TestOversizedCovariates:
           [-0.029585070874579955, -2.0728451790096543], [-2.750594361274032, 2.0414054731768347],
           [-2.901198486276061, 0.7938463376598301], [-0.669187422614228, 2.932082672885178]],
          SingularDesignError, "profile Jacobian is singular"),
+        # the relative residual of a solve to 1e-14 leaps to 9e31 at the second CG step
+        ("logistic", [0, 0, 0, 1, 0, 1, 0, 1, 1, 1],
+         [[-2.05560464532899], [2.4193543023602793], [2.647300767324827e+152],
+          [2.5045848382012634], [0.7324464242282462], [-0.5442931716764097],
+          [2.647300767324827e+152], [-0.30730690572648367], [0.1571518182578897],
+          [1.854965502630009e+152]],
+         NonConvergenceError, "broke down after 2 conjugate-gradient steps"),
     ])
     def test_breakdowns_below_the_limit_raise_documented_errors(self, name, weights, z, error,
                                                                  match):
         """Covariates just below the limit on networks with no finite root
         once warned ("divide by zero encountered in scalar divide") or leaked
-        numpy's LinAlgError from a Newton step."""
+        numpy's LinAlgError from a Newton step, or spent every CG step on a
+        residual that only grew."""
         n = 4 if len(weights) == 6 else 5
         rows, cols = pair_indices(n)
         adjacency = np.zeros((n, n))

@@ -66,8 +66,6 @@ def _estimation_calls():
         "solve_degree_params.family": lambda v: solve_degree_params(data, v, gamma),
         "solve_degree_params.gamma": lambda v: solve_degree_params(data, "logistic", v),
         "solve_degree_params.config": lambda v: solve_degree_params(data, "logistic", gamma, v),
-        "solve_degree_params.beta_init":
-            lambda v: solve_degree_params(data, "logistic", gamma, beta_init=v),
         "bias_correct.gamma": lambda v: bias_correct(v, result.profile_hessian, result.bias, 8),
         "bias_correct.profile_hessian": lambda v: bias_correct(gamma, v, result.bias, 8),
         "bias_correct.bias": lambda v: bias_correct(gamma, result.profile_hessian, v, 8),
@@ -176,8 +174,6 @@ PROBES = {
         lambda data, fitted: NetworkData(np.array([[0, 1j], [1j, 0]]), [1.0]),
     "solve_degree_params(gamma of length 1)":
         lambda data, fitted: solve_degree_params(data, "logistic", [0.5]),
-    "solve_degree_params(beta_init of length 1)":
-        lambda data, fitted: solve_degree_params(data, "logistic", fitted.gamma, beta_init=[0.0]),
     "standard_errors(beta of length n - 1)":
         lambda data, fitted: standard_errors(data, "logistic", fitted.beta[1:], fitted.gamma),
     "homophily_bias(gamma of length 3)":

@@ -443,6 +443,13 @@ class TestRunMcStudy:
         with pytest.raises(DataError, match="at least one"):
             run_mc_study([], replicates=5)
 
+    def test_specs_of_different_families_rejected(self):
+        """A report has one family and one rate slope, so a grid mixing
+        families would fit one slope across both."""
+        specs = [GenSpec(n=20, family="logistic", seed=1), GenSpec(n=30, family="poisson", seed=2)]
+        with pytest.raises(DataError, match="share a family, got logistic, poisson"):
+            run_mc_study(specs, 1)
+
     def test_invalid_thread_env_raises(self, monkeypatch):
         monkeypatch.setenv("NETMOMENT_THREADS", "2.5")
         spec = GenSpec(n=10, seed=0)
