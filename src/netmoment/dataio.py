@@ -9,7 +9,8 @@ files are written in blocks of rows that format each distinct bit pattern
 of a column once, with ``str`` for an id and ``repr`` for a float; their
 bytes equal those of ``csv.writer``, which writes every other CSV output.
 Tables are parsed by numpy's C reader when that is safe, else by a
-checked reader that alone writes error messages (see ``_read_table``).
+checked reader that alone writes parse errors (see ``_read_table``); each
+reader then checks the parsed columns once, whichever parse ran.
 """
 
 import contextlib
@@ -32,16 +33,16 @@ _PLAIN_BYTES = b"0123456789+-.eE, \r\n"
 _BLOCK_ROWS = 8192
 
 
-def _read_table(path, build, check_header, *spec):
-    """``build(ids, values)`` on the int64 id and float value columns of the CSV file at ``path``.
+def _read_table(path, check_header, *spec):
+    """The int64 id columns and float value columns of the CSV file at ``path``.
 
     numpy's C reader (``np.loadtxt``) parses the columns first.  They are
-    used only if the header has no quote and passes ``check_header``, the
-    body is plain (``_plain_lines``), numpy parsed a row per line with no
-    error or warning, every value is finite, and ``build`` raised no
-    ``DataError``.  On any doubt ``_read_checked`` parses the file again,
-    and its result or error is returned: it alone writes error text, so
-    nothing depends on the parser.
+    returned only if the header has no quote and passes ``check_header``,
+    the body is plain (``_plain_lines``), numpy parsed a row per line with
+    no error or warning, and every value is finite; then row r is line
+    r + 2, as for ``_read_checked``.  On any doubt ``_read_checked`` parses
+    the file instead: it alone writes parse errors.  Each reader checks the
+    returned columns once, whichever parser ran.
     """
     with contextlib.suppress(DataError, OSError, ValueError, csv.Error, Warning):
         with open(path, "rb") as handle:
@@ -54,8 +55,8 @@ def _read_table(path, build, check_header, *spec):
             warnings.simplefilter("error")
             body = np.loadtxt(path, dtype, delimiter=",", skiprows=1, ndmin=1, encoding="utf-8")
         if len(body) == lines and np.isfinite(body["values"]).all():
-            return build(body["ids"], body["values"])
-    return build(*_read_checked(path, check_header, *spec))
+            return body["ids"], body["values"]
+    return _read_checked(path, check_header, *spec)
 
 
 def _plain_lines(handle):
@@ -172,16 +173,13 @@ def read_edges(path, n):
     unordered pairs, and node ids outside [0, n) are rejected.
     """
     n = _integer("n", n, 0)
-
-    def build(ids, weights):
-        i, j = ids.T
-        _check(path, i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
-        _check(path, (i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
-        pair_weights = np.zeros(pair_count(n))
-        pair_weights[_check_pairs(path, i, j)] = weights[:, 0]
-        return symmetric_from_pairs(n, pair_weights)
-
-    return _read_table(path, build, _edge_header)
+    ids, weights = _read_table(path, _edge_header)
+    i, j = ids.T
+    _check(path, i == j, lambda r: f"self-loop at node {i[r]} is not allowed")
+    _check(path, (i < 0) | (j < 0) | (i >= n) | (j >= n), lambda r: f"node id out of range [0, {n})")
+    pair_weights = np.zeros(pair_count(n))
+    pair_weights[_check_pairs(path, i, j)] = weights[:, 0]
+    return symmetric_from_pairs(n, pair_weights)
 
 
 def read_pair_covariates(path):
@@ -191,38 +189,32 @@ def read_pair_covariates(path):
     inferred from the largest id and validated against the row count.
     Returns (n, covariates) with covariates in pair-offset order.
     """
-
-    def build(ids, z):
-        i, j = ids.T
-        _check(path, i == j, lambda r: f"self-pair at node {i[r]} is not allowed")
-        _check(path, (i < 0) | (j < 0), lambda r: "node ids must be nonnegative")
-        n = int(ids.max()) + 1
-        if len(z) != pair_count(n):
-            raise DataError(
-                f"{path}: {len(z)} rows but {pair_count(n)} unordered pairs "
-                f"exist for the {n} nodes referenced; every pair must appear exactly once"
-            )
-        # duplicates are rejected and the row count matches, so no pair is missing
-        covariates = np.empty_like(z)
-        covariates[_check_pairs(path, i, j)] = z
-        return n, covariates
-
-    return _read_table(path, build, _numbered_header, ["i", "j"], "z", "i,j,z1,...,zp", "covariate")
+    ids, z = _read_table(path, _numbered_header, ["i", "j"], "z", "i,j,z1,...,zp", "covariate")
+    i, j = ids.T
+    _check(path, i == j, lambda r: f"self-pair at node {i[r]} is not allowed")
+    _check(path, (i < 0) | (j < 0), lambda r: "node ids must be nonnegative")
+    n = int(ids.max()) + 1
+    if len(z) != pair_count(n):
+        raise DataError(
+            f"{path}: {len(z)} rows but {pair_count(n)} unordered pairs "
+            f"exist for the {n} nodes referenced; every pair must appear exactly once"
+        )
+    # duplicates are rejected and the row count matches, so no pair is missing
+    covariates = np.empty_like(z)
+    covariates[_check_pairs(path, i, j)] = z
+    return n, covariates
 
 
 def read_node_attrs(path):
     """Read a node-attribute CSV (header ``i,x1,...,xk``), one row per node."""
-
-    def build(ids, x):
-        i, n = ids[:, 0], len(ids)
-        outside = f"outside [0, {n}); ids must cover every node exactly once"
-        _check(path, (i < 0) | (i >= n), lambda r: f"node id {i[r]} {outside}")
-        _check(path, _repeats(i), lambda r: f"node {i[r]} appears twice")
-        attrs = np.empty_like(x)
-        attrs[i] = x
-        return attrs
-
-    return _read_table(path, build, _numbered_header, ["i"], "x", "i,x1,...,xk", "attribute")
+    ids, x = _read_table(path, _numbered_header, ["i"], "x", "i,x1,...,xk", "attribute")
+    i, n = ids[:, 0], len(ids)
+    outside = f"outside [0, {n}); ids must cover every node exactly once"
+    _check(path, (i < 0) | (i >= n), lambda r: f"node id {i[r]} {outside}")
+    _check(path, _repeats(i), lambda r: f"node {i[r]} appears twice")
+    attrs = np.empty_like(x)
+    attrs[i] = x
+    return attrs
 
 
 def derive_pair_covariates(node_attrs, transform):

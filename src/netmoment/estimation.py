@@ -601,7 +601,7 @@ def fit(data, family, config=None):
                 f"(last residual {state.merit:.3e})",
                 residual=state.merit,
             )
-        curv = system.curvature(slope, _slope_sums(data, slope))
+        curv = system.curvature(slope, data.node_pair_sums(slope))
         _assert_profile_invertible(curv.h, curv.scale)
         bias = system.bias(state, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)

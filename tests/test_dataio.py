@@ -495,6 +495,22 @@ class TestFastPath:
         path.write_bytes(b"i,x1\r\n" + b"".join(b"%d,%d\r\n" % (k, k) for k in range(8)))
         assert np.array_equal(read_node_attrs(str(path)), np.arange(8.0)[:, None])
 
+    @pytest.mark.parametrize("kind,row", [
+        ("edges", "2,2,1.0"),                 # self-loop
+        ("edges", "0,1,1.0"),                 # duplicate pair, reversed
+        ("covariates", "2,9,0.5,0.6"),        # the row count no longer fits
+        ("covariates", "0,2,0.5,0.6"),        # duplicate pair, reversed
+        ("attrs", "1,5.0,6.0"),               # repeated node
+    ])
+    @pytest.mark.usefixtures("no_checked_reader")
+    def test_checked_defect_reported_from_first_parse(self, kind, row, tmp_path):
+        """A plain file whose rows parse but fail the reader's own checks is
+        reported from numpy's parse, with the reference reader's message."""
+        path = _write(tmp_path / f"{kind}.csv", _with_line_4(kind, row))
+        read, reference = _READERS[kind]
+        got = _outcome(read, path)
+        assert isinstance(got, str) and got == _outcome(reference, path)
+
     def test_numpy_warning_falls_back(self, tmp_path, monkeypatch):
         """numpy 1.23 to 1.26 parse an id written ``1.0`` with a
         ``DeprecationWarning``; a warning must send the file to the checked

@@ -888,6 +888,20 @@ class TestDegreeJacobianSolve:
         (entry,) = excinfo.value.trace
         assert entry["outer"] == 1
 
+    def test_rank_check_on_an_exact_step_solve_raises_at_once(self, monkeypatch):
+        """A step that solves V to ``_CG_RTOL`` has no slack to recheck, so a
+        rank-deficient H raises from its first test."""
+        monkeypatch.setattr(estimation, "_CG_FORCING_CAP", estimation._CG_RTOL)
+        n = 250
+        data = _gen_network("logistic", n, 605)
+        x = np.random.default_rng(605).normal(size=n)
+        rows, cols = pair_indices(n)
+        z = np.column_stack([x[rows] + x[cols], data.covariates[:, 0]])
+        with pytest.raises(SingularDesignError, match="rank deficient: collinear") as excinfo:
+            fit(NetworkData(data.adjacency, z), "logistic")
+        (entry,) = excinfo.value.trace
+        assert entry["outer"] == 1
+
     def test_one_column_residuals_independent_of_blas_threads(self, two_blas_threads):
         """With one covariate column, Q is a dot product over all pairs, which
         OpenBLAS splits by its thread count."""

@@ -76,6 +76,10 @@ class TestNetworkDataValidation:
         with pytest.raises(DataError):
             NetworkData(a, np.zeros((6, 1)))
 
+    def test_one_node_rejected(self):
+        with pytest.raises(DataError, match="at least two nodes"):
+            NetworkData(np.zeros((1, 1)), np.zeros((0, 1)))
+
     def test_wrong_covariate_length_rejected(self):
         with pytest.raises(DataError):
             NetworkData(np.zeros((4, 4)), np.zeros((5, 1)))
@@ -283,6 +287,10 @@ class TestBalancedClass:
     def test_non_square_rejected(self):
         with pytest.raises(DataError):
             check_diagonally_balanced(np.zeros((2, 3)))
+
+    def test_one_by_one_rejected(self):
+        with pytest.raises(DataError, match="smaller than 2x2"):
+            check_diagonally_balanced(np.ones((1, 1)))
 
 
 class TestDiagonalInverseApprox:

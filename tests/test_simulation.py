@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from netmoment import blas, simulation
 from netmoment.blas import openblas_thread_controls, single_blas_thread
 from netmoment.errors import DataError, DegenerateDegreeError
-from netmoment.estimation import SolverConfig, check_interior_degrees
+from netmoment.estimation import SolverConfig, check_interior_degrees, fit
 from netmoment.families import get_family
 from netmoment.network import pair_count, pair_offset
 from netmoment.simulation import (
@@ -31,6 +32,7 @@ from netmoment.simulation import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH_REFERENCE = SRC.parent / "bench" / "reference.json"
 
 
 class TestCovariateRule:
@@ -606,23 +608,44 @@ def test_records_independent_of_blas_and_worker_threads():
     assert runs[3] == runs[0]
 
 
+START_METHOD_SCRIPT = """
+import concurrent.futures, json, multiprocessing, sys, types
+from netmoment import simulation
+if sys.argv[1] != "default":
+    # off Linux the pool takes the caller's start method (mp_context=None)
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    simulation.sys = types.SimpleNamespace(platform="other")
+methods, Pool = [], concurrent.futures.ProcessPoolExecutor
+
+def recording(*args, mp_context=None, **kwargs):
+    methods.append((mp_context or multiprocessing.get_context()).get_start_method())
+    return Pool(*args, mp_context=mp_context, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = recording
+""" + STUDY_SCRIPT + "print(json.dumps(methods))\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a forked pool of two workers: Linux and two CPUs")
 def test_records_independent_of_start_method():
-    """Workers get the one-thread BLAS setting under any start method the
-    caller sets.  Under forkserver, workers that start a fresh interpreter
-    with default BLAS threads give records that differ in their last digits
-    on a 2-CPU host."""
+    """Records do not depend on how pool workers start, since each fit pins
+    OpenBLAS to one thread itself.  On Linux the pool forks whatever the
+    caller's start method; the study here also runs through the branch
+    other platforms take, under forkserver and under spawn, with workers
+    that start a fresh interpreter with default BLAS threads."""
     env = dict(os.environ, NETMOMENT_THREADS="2")
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    forkserver = "import multiprocessing\nmultiprocessing.set_start_method('forkserver', force=True)\n"
-    runs = []
-    for prelude in ("", forkserver):
-        proc = subprocess.run([sys.executable, "-c", prelude + STUDY_SCRIPT], env=env,
+    runs = {}
+    for method in ("default", "forkserver", "spawn"):
+        proc = subprocess.run([sys.executable, "-c", START_METHOD_SCRIPT, method], env=env,
                               capture_output=True, text=True, check=True, timeout=300)
-        runs.append(json.loads(proc.stdout))
-    assert runs[1] == runs[0]
-
+        records, methods = proc.stdout.splitlines()
+        runs[method] = json.loads(records)
+        assert json.loads(methods) == ["fork" if method == "default" else method]
+    assert runs["forkserver"] == runs["default"]
+    assert runs["spawn"] == runs["default"]
 
 
 WORKER_IMPORTS_SCRIPT = """
@@ -656,3 +679,58 @@ def test_pool_workers_import_nothing(family):
     proc = subprocess.run([sys.executable, "-c", WORKER_IMPORTS_SCRIPT, family], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(proc.stdout) == [[], []]
+
+
+# The benchmark's inputs and its stored outputs (bench/reference.json).  The
+# benchmark's own check imports tomllib, which Python 3.10 lacks, so these
+# tests spell its specs out and run its comparison on every supported Python
+# and numpy.
+_RECORD_KEYS = ("n", "replicate", "failed", "err_beta", "err_gamma", "err_gamma_bc",
+                "cover_gamma", "cover_gamma_bc")
+
+
+def _reference_spec(family, n, seed):
+    return GenSpec(n=n, family=family, gamma_star=(0.5, -0.5), beta_range=1.0,
+                   covariates=CovariateRule(kind="iid_pm1", p=2), seed=seed)
+
+
+def _assert_matches_reference(actual, expected, path="$"):
+    """Floats agree to relative 1e-6, an entry of a float list held to the
+    list's largest; everything else is equal, as the benchmark compares."""
+    if isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-6), path
+    elif isinstance(expected, dict):
+        assert set(actual) == set(expected), path
+        for key in expected:
+            _assert_matches_reference(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        if expected and all(isinstance(v, float) for v in expected):
+            scale = max(abs(v) for v in expected)
+            for k, (a, e) in enumerate(zip(actual, expected)):
+                assert math.isclose(a, e, rel_tol=1e-6, abs_tol=1e-6 * scale), f"{path}[{k}]"
+        else:
+            for k, (a, e) in enumerate(zip(actual, expected)):
+                _assert_matches_reference(a, e, f"{path}[{k}]")
+    else:
+        assert actual == expected, path
+
+
+@pytest.mark.parametrize("family", ["logistic", "probit", "poisson"])
+def test_fit_matches_the_benchmark_reference(family):
+    """The first n=600 fit of each family in the benchmark reference."""
+    expected = json.loads(BENCH_REFERENCE.read_text())["fit"][family][0]
+    result = fit(generate_with_truth(_reference_spec(family, 600, expected["seed"])).data, family)
+    _assert_matches_reference({key: getattr(result, key).tolist() for key in expected["fit"]},
+                              expected["fit"])
+
+
+def test_study_matches_the_benchmark_reference():
+    """The first rate study of the benchmark reference: logistic, n = 50, 100
+    and 200 at seeds s, s + 1 and s + 2, one replicate each."""
+    expected = json.loads(BENCH_REFERENCE.read_text())["mc_study"][0]
+    specs = [_reference_spec("logistic", n, expected["seed"] + k)
+             for k, n in enumerate((50, 100, 200))]
+    records = run_mc_study(specs, replicates=1).records
+    _assert_matches_reference([[r[key] for key in _RECORD_KEYS] for r in records],
+                              expected["records"])
