@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, _finite, _integer
 from .estimation import SolverConfig
-from .network import _network, pair_count, pair_indices, pair_offset, symmetric_from_pairs
+from .network import _col_ends, _network, _row_ends, pair_count, pair_offset, symmetric_from_pairs
 from .simulation import _COVERAGE_FIELDS, CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
@@ -230,10 +230,11 @@ def derive_pair_covariates(node_attrs, transform):
     attrs = _finite("node attributes", node_attrs)
     if np.ndim(attrs) != 2 or attrs.shape[0] < 2:
         raise DataError("node attributes must be a 2-D array with at least 2 rows")
-    rows, cols = pair_indices(attrs.shape[0])
     if transform == "euclidean_distance":
-        return np.linalg.norm(attrs[rows] - attrs[cols], axis=1)[:, None]
-    return np.all(attrs[rows] == attrs[cols], axis=1).astype(float)[:, None]
+        diff = _row_ends(attrs)
+        diff -= _col_ends(attrs)
+        return np.linalg.norm(diff, axis=1)[:, None]
+    return np.all(_row_ends(attrs) == _col_ends(attrs), axis=1).astype(float)[:, None]
 
 
 def _output(dest):

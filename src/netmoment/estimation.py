@@ -41,7 +41,7 @@ from .blas import single_blas_thread
 from .errors import (
     DataError, DegenerateDegreeError, NonConvergenceError, SingularDesignError, _finite, _integer)
 from .families import get_family, initial_degree_params
-from .network import _network, covariate_magnitude, symmetric_from_pairs
+from .network import _col_ends, _network, _row_ends, covariate_magnitude, symmetric_from_pairs
 # check_diagonally_balanced stays importable from this module, where
 # bench/test_bench.py looks it up; fit reads m_n and M_n off the slopes.
 from .network import check_diagonally_balanced  # noqa: F401
@@ -330,7 +330,8 @@ class _MomentSystem:
 
     def evaluate(self, beta, gamma):
         data = self.data
-        pi = beta.take(data.rows) + beta.take(data.cols)  # take: faster than fancy indexing
+        pi = _row_ends(beta)
+        pi += _col_ends(beta)
         if self.offset is not None:
             pi += self.offset
         pi += self.z @ gamma
@@ -511,12 +512,16 @@ def bias_correct(gamma, profile_hessian, bias, n):
 def _standard_errors(data, family, curv, mu):
     var = family._variance_from_mean(mu)
     se_beta = np.sqrt(data.node_pair_sums(var)) / curv.slope_sums
+    del var
 
     # concentrated score per pair, one row per coefficient: r (z - (dQ/dbeta) V^{-1} T_ij),
     # where V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
-    proj = np.ascontiguousarray(curv.solved.T)
-    score = data.covariates.T - proj.take(data.rows, axis=1) - proj.take(data.cols, axis=1)
-    score *= data.pair_weights - mu
+    resid = data.pair_weights - mu
+    score = np.empty((data.n_covariates, data.n_pairs))
+    for row, z, proj in zip(score, data.covariates.T, curv.solved.T):
+        np.subtract(z, _row_ends(proj), out=row)
+        row -= _col_ends(proj)
+        row *= resid
     omega_sum = score @ score.T
     cov_gamma = _solve_h(curv.h, _solve_h(curv.h, omega_sum).T)
     return se_beta, np.sqrt(np.diag(cov_gamma))

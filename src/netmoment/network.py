@@ -7,11 +7,18 @@ the order produced by ``numpy.tril_indices(n, -1)``, so row i's pairs form one
 contiguous block; ``symmetric_from_pairs`` is the one writer of a dense matrix
 from pair order.  Pair covariates are stored column-major: each covariate is
 one contiguous run of n*(n-1)/2 values.
+
+The pair index depends on n alone, so no network stores its own.  Row i
+holds i pairs, so the row ends of all pairs are ``repeat(arange(n))`` of a
+per-node array (``_row_ends``).  The column ids are one array per n, shared
+by every live network of that size and freed with the last of them
+(``_pair_columns``); ``_col_ends`` gathers the column ends with it.
 """
 
 import functools
 import math
 import reprlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +45,43 @@ def pair_offset(i, j):
 
 def pair_indices(n):
     """(rows, cols) node ids for all pairs in storage order; rows > cols."""
+    n = _integer("n", n, 0)
+    if np.ndim(n):
+        raise DataError(f"n must be one integer, got an array of shape {np.shape(n)}")
     return np.tril_indices(n, -1)
+
+
+def _below_diagonal(a):
+    """The entries below the diagonal of the square ``a``, in pair order, as a new array."""
+    return a[np.tri(len(a), k=-1, dtype=bool)]
+
+
+# n -> the column ids of pair_indices(n), held while a network of n nodes holds them.
+# No lock: threads that miss at once each build an equal array, which costs memory
+# only; a lock held across a fork would hang the study's forked workers.
+_PAIR_COLUMNS = weakref.WeakValueDictionary()
+
+
+def _pair_columns(n):
+    """The column ids of ``pair_indices(n)``, one array shared while any holder lives.
+    It stays writeable because ``np.take`` and ``np.bincount`` copy a read-only
+    index; networks hand it out read-only as ``cols``."""
+    cols = _PAIR_COLUMNS.get(n)
+    if cols is None:
+        cols = _PAIR_COLUMNS[n] = _below_diagonal(np.broadcast_to(np.arange(n), (n, n)))
+    return cols
+
+
+def _row_ends(x):
+    """x[rows] along axis 0 for the pairs of len(x) nodes, as a new array:
+    row i repeats x[i] i times."""
+    return x.repeat(np.arange(len(x)), axis=0)
+
+
+def _col_ends(x):
+    """x[cols] along axis 0 for the pairs of len(x) nodes, as a new array,
+    gathered by the shared column ids."""
+    return x.take(_pair_columns(len(x)), axis=0)
 
 
 def symmetric_from_pairs(n, pair_values, diagonal=0.0, out=None):
@@ -85,10 +128,14 @@ class NetworkData:
         One covariate vector per unordered pair, in lower-triangle
         row-major order; p >= 1.
 
-    Stored in pair order; ``adjacency`` is rebuilt on first access.  The
-    covariates are copied once in column-major (Fortran) order: ``covariates``
-    is (n_pairs, p) and its transpose a contiguous (p, n_pairs) block.  Every
-    stored array is read-only, so instances are safe for concurrent reads.
+    Stored in pair order: (p + 1) n_pairs doubles (``covariates`` and
+    ``pair_weights``) plus the n ``degrees``.  ``adjacency`` is rebuilt on
+    first access.  The covariates are copied once in column-major (Fortran)
+    order: ``covariates`` is (n_pairs, p) and its transpose a contiguous
+    (p, n_pairs) block.  No pair index is its own: ``cols`` is a view of the
+    column ids every live network of n nodes shares, and ``rows`` builds the
+    row ids on each access.  Every array a network hands out is read-only,
+    so instances are safe for concurrent reads.
     """
 
     def __init__(self, adjacency, covariates):
@@ -114,13 +161,19 @@ class NetworkData:
             )
 
         self.n = n
-        self.rows, self.cols = pair_indices(n)
+        self._cols = _pair_columns(n)
+        self.cols = self._cols.view()
         self._row_starts = pair_count(np.arange(1, n))  # starts of rows 1..n-1; row 0 has none
         self.covariates = z
-        self.pair_weights = a[self.rows, self.cols]
+        self.pair_weights = _below_diagonal(a)
         self.degrees = _row_sums(a)
-        for array in (z, self.pair_weights, self.degrees):
+        for array in (z, self.cols, self.pair_weights, self.degrees):
             array.setflags(write=False)
+
+    @property
+    def rows(self):
+        """The row ids of the pairs in storage order, a new array: row i repeats i i times."""
+        return _row_ends(np.arange(self.n))
 
     @functools.cached_property
     def adjacency(self):
@@ -155,7 +208,7 @@ class NetworkData:
         out = np.zeros((self.n, columns.shape[1]))
         out[1:] = np.add.reduceat(columns, self._row_starts, axis=0)  # each row's block of pairs
         for k in range(columns.shape[1]):
-            out[:, k] += np.bincount(self.cols, weights=columns[:, k], minlength=self.n)
+            out[:, k] += np.bincount(self._cols, weights=columns[:, k], minlength=self.n)
         return out.reshape((self.n,) + x.shape[1:])
 
 

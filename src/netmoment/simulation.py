@@ -24,7 +24,7 @@ from .blas import single_blas_thread
 from .errors import DataError, DegenerateDegreeError, NetmomentError, _finite, _integer
 from .estimation import _solver_config, check_interior_degrees, fit
 from .families import get_family
-from .network import NetworkData, pair_count, pair_indices, symmetric_from_pairs
+from .network import NetworkData, _col_ends, _row_ends, pair_count, symmetric_from_pairs
 
 COVARIATE_KINDS = ("iid_pm1", "iid_uniform", "node_distance")
 DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
@@ -76,12 +76,16 @@ class CovariateRule:
     def draw(self, n, rng):
         m = pair_count(n)
         if self.kind == "iid_pm1":
-            return rng.integers(0, 2, size=(m, self.p)).astype(float) * 2.0 - 1.0
+            z = rng.integers(0, 2, size=(m, self.p)).astype(float)
+            z *= 2.0
+            z -= 1.0
+            return z
         if self.kind == "iid_uniform":
             return rng.uniform(self.low, self.high, size=(m, self.p))
         x = rng.uniform(0.0, 1.0, size=(n, self.dim))
-        rows, cols = pair_indices(n)
-        return np.linalg.norm(x[rows] - x[cols], axis=1)[:, None]
+        diff = _row_ends(x)
+        diff -= _col_ends(x)
+        return np.linalg.norm(diff, axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,9 @@ def generate_with_truth(spec, rng=None):
         beta = np.asarray(spec.beta_star, dtype=float)
     gamma = np.asarray(spec.gamma_star, dtype=float)
     z = spec.covariates.draw(n, rng)
-    rows, cols = pair_indices(n)
-    pi = beta[rows] + beta[cols] + z @ gamma
+    pi = _row_ends(beta)
+    pi += _col_ends(beta)
+    pi += z @ gamma
 
     if spec.noise_free:
         weights = family.mean(pi)

@@ -18,11 +18,14 @@ The CSV readers at the end parse one field at a time with ``int`` and
 readers in ``netmoment.dataio``; ``write_table_ref`` sends every cell
 through ``str`` or ``repr`` and ``csv.writer``, the reference for its
 block writer.
+``traced_peak`` measures a call's allocations with ``tracemalloc``, whose
+counts, unlike the resident size, do not depend on the heap's layout.
 """
 
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import integrate, optimize
@@ -43,6 +46,18 @@ from netmoment.estimation import (
 )
 from netmoment.families import get_family, initial_degree_params
 from netmoment.network import pair_count, pair_indices
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``, the bytes its allocations still hold when it returns, and
+    the largest number they held at once, both counted by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def pair_offset_ref(i, j):

@@ -668,6 +668,17 @@ class TestDerivePairCovariates:
         expected = (np.asarray(attrs)[rows, 0] == np.asarray(attrs)[cols, 0])
         assert np.array_equal(z[:, 0], expected.astype(float))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_both_transforms_equal_the_pair_index_formula(self, n, d):
+        attrs = np.random.default_rng(n * d).normal(size=(n, d))
+        attrs[-1] = attrs[0]  # one matching pair
+        rows, cols = pair_indices(n)
+        distance = np.linalg.norm(attrs[rows] - attrs[cols], axis=1)[:, None]
+        match = np.all(attrs[rows] == attrs[cols], axis=1).astype(float)[:, None]
+        assert np.array_equal(derive_pair_covariates(attrs, "euclidean_distance"), distance)
+        assert np.array_equal(derive_pair_covariates(attrs, "match_indicator"), match)
+
     def test_unknown_transform(self):
         with pytest.raises(DataError, match="unknown transform"):
             derive_pair_covariates([[1.0], [2.0]], "cosine")

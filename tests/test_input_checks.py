@@ -28,6 +28,7 @@ from netmoment import (
     generate_with_truth,
     get_family,
     pair_count,
+    pair_indices,
     pair_offset,
     parse_study_config,
     profile_jacobian,
@@ -114,6 +115,7 @@ CALLS = {
     "run_mc_study.config": lambda v: _study(config=v),
     "NETMOMENT_THREADS": lambda v: _thread_cap(str(v).replace("\x00", "")),
     "pair_count": pair_count,
+    "pair_indices": pair_indices,
     "pair_offset.i": lambda v: pair_offset(v, 1),
     "pair_offset.j": lambda v: pair_offset(2, v),
     "derive_pair_covariates.node_attrs": lambda v: derive_pair_covariates(v, "match_indicator"),
@@ -180,6 +182,8 @@ PROBES = {
         lambda data, fitted: homophily_bias(data, "logistic", fitted.beta, [0.1, 0.2, 0.3]),
     "pair_offset(0, 0.5)": lambda data, fitted: pair_offset(0, 0.5),
     "pair_count(2.5)": lambda data, fitted: pair_count(2.5),
+    "pair_indices(2.5)": lambda data, fitted: pair_indices(2.5),
+    "pair_indices(array([3, 4]))": lambda data, fitted: pair_indices(np.array([3, 4])),
     "get_family(['logistic'])": lambda data, fitted: get_family(["logistic"]),
     "fit('x', 'logistic')": lambda data, fitted: fit("x", "logistic"),
     "standard_errors('x', ...)":

@@ -1,9 +1,12 @@
 """Network data model, pair indexing, and the balanced matrix class."""
 
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from netmoment import network
 from netmoment.errors import DataError
 from netmoment.network import (
     NetworkData,
@@ -118,6 +121,40 @@ class TestNetworkDataValidation:
     def test_one_dimensional_covariates_get_a_column(self):
         data = NetworkData(np.zeros((3, 3)), np.arange(3.0))
         assert data.covariates.shape == (3, 1)
+
+
+class TestSharedPairIndex:
+    N = 29  # no other test keeps a network of this size alive
+
+    def test_networks_of_one_size_share_one_read_only_column_index(self):
+        first, second = _random_network(self.N, 1, 0), _random_network(self.N, 2, 1)
+        assert np.shares_memory(first.cols, second.cols)
+        assert not first.cols.flags.writeable
+        with pytest.raises(ValueError):
+            first.cols[0] = 1
+        rows, cols = pair_indices(self.N)
+        assert np.array_equal(first.cols, cols) and first.cols.dtype == cols.dtype
+
+    def test_no_pair_index_of_its_own(self):
+        first, second = _random_network(self.N, 1, 0), _random_network(self.N, 1, 1)
+        for value in vars(first).values():
+            if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+                assert value.shape != (first.n_pairs,) or np.shares_memory(value, second.cols)
+
+    def test_rows_are_built_on_access(self):
+        data = _random_network(self.N, 1, 0)
+        rows, _ = pair_indices(self.N)
+        assert np.array_equal(data.rows, rows) and data.rows.dtype == rows.dtype
+        assert data.rows is not data.rows
+
+    def test_index_is_freed_with_the_last_network(self):
+        first, second = _random_network(self.N, 1, 0), _random_network(self.N, 1, 1)
+        del first
+        gc.collect()
+        assert self.N in network._PAIR_COLUMNS
+        del second
+        gc.collect()
+        assert self.N not in network._PAIR_COLUMNS
 
 
 class TestDegrees:

@@ -1,6 +1,7 @@
 """Tests for synthetic network generation and the Monte Carlo harness."""
 
 import functools
+import gc
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from netmoment.blas import openblas_thread_controls, single_blas_thread
 from netmoment.errors import DataError, DegenerateDegreeError
 from netmoment.estimation import SolverConfig, check_interior_degrees, fit
 from netmoment.families import get_family
-from netmoment.network import pair_count, pair_offset
+from netmoment.network import pair_count, pair_indices, pair_offset
 from netmoment.simulation import (
     CovariateRule,
     GenSpec,
@@ -30,6 +31,8 @@ from netmoment.simulation import (
     generate_with_truth,
     run_mc_study,
 )
+
+from oracles import traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH_REFERENCE = SRC.parent / "bench" / "reference.json"
@@ -66,6 +69,14 @@ class TestCovariateRule:
                     d_ik = z[pair_offset(i, k)]
                     d_jk = z[pair_offset(j, k)]
                     assert d_ij <= d_ik + d_jk + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_node_distance_equals_the_pair_index_formula(self, n, dim):
+        z = CovariateRule(kind="node_distance", dim=dim).draw(n, np.random.default_rng(n))
+        x = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, dim))
+        rows, cols = pair_indices(n)
+        assert np.array_equal(z, np.linalg.norm(x[rows] - x[cols], axis=1)[:, None])
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(DataError, match="unknown covariate rule"):
@@ -268,6 +279,38 @@ class TestGenerate:
         assert abs(dens_dep.mean() - 0.5) <= 4.0 * cluster_sigma / np.sqrt(reps)
         assert dens_dep.std() > 0.15
         assert dens_ind.std() < 0.10
+
+
+class TestAllocationBudgets:
+    """What generation and a fit allocate, counted by ``tracemalloc`` in pair
+    vectors (n_pairs doubles) at n = 400 and p = 2.  The counts are
+    deterministic; the resident size also moves with the heap's layout."""
+
+    N = 400
+    VECTOR = 8 * pair_count(N)  # bytes
+
+    def _generate(self, family):
+        spec = functools.partial(GenSpec, family=family, gamma_star=(0.5, -0.5),
+                                 covariates=CovariateRule(p=2))
+        generate_with_truth(spec(n=8))  # the first call's lazy imports are not counted
+        gc.collect()
+        return traced_peak(generate_with_truth, spec(n=self.N, seed=3))
+
+    @pytest.mark.parametrize("family", ["logistic", "probit", "poisson"])
+    def test_generation(self, family):
+        # kept: the covariates, the weights and the shared column index; the
+        # 0.02 vectors above 4 are the degrees, beta and the row starts
+        _, kept, peak = self._generate(family)
+        assert kept <= 4.05 * self.VECTOR
+        assert peak <= 12.0 * self.VECTOR
+
+    @pytest.mark.parametrize("family", ["logistic", "probit", "poisson"])
+    def test_fit_above_its_inputs(self, family):
+        # 9.1 vectors for logistic and probit, 8.1 for Poisson; a copy of the
+        # column index (np.take and np.bincount copy a read-only one) makes 10.1
+        synth, _, _ = self._generate(family)
+        _, _, peak = traced_peak(fit, synth.data, family)
+        assert peak <= 9.5 * self.VECTOR
 
 
 class TestRunReplicate:
