@@ -23,7 +23,9 @@ reaches the step cap uses the iterate there, and the line search judges it.
 Everything that feeds a reported statistic (the curvature at the root,
 ``profile_jacobian`` and ``standard_errors``) solves to 1e-14.  A fit
 allocates one (n, n) buffer: each iterate, and the converged one, rewrites
-every entry of -V there from its pair slopes and their node sums.
+every entry of -V there from its pair slopes and their node sums.  Between
+those writes the same buffer holds the products of the covariate columns
+with a pair vector, so no block of that size is allocated at each step.
 
 The functions that solve V, and ``covariate_residuals``, run with OpenBLAS
 held to one thread, so their results do not depend on the BLAS thread count:
@@ -293,11 +295,12 @@ def _assert_profile_invertible(h, scale, slack=0.0):
 
 
 class _Iterate(NamedTuple):
-    """Parameters, their pair index, mean and mean slope, and the moment residuals there."""
+    """Parameters, the mean and mean slope at their pair index, and the moment
+    residuals there.  The index itself is not kept: ``_MomentSystem.index``
+    recomputes it where it is needed."""
 
     beta: np.ndarray
     gamma: np.ndarray
-    pi: np.ndarray
     mu: np.ndarray
     slope: np.ndarray
     f: np.ndarray
@@ -314,9 +317,15 @@ class _MomentSystem:
     network's.  Given ``gamma``, the coefficients are held there instead:
     ``z`` has no columns, the covariate term is the fixed ``offset``, Q is
     empty and the system is the degree equations alone.  Its curvatures
-    share the (n, n) buffer ``v``.  Every estimation function evaluates the
-    model, and its curvature, through this class, which first rejects
-    covariates too large for its sums (``_check_covariate_scale``).
+    share the (n, n) matrix ``v``.  It lies in one buffer with the products
+    of the covariate columns with a pair vector (``_column_rows``), which are
+    used up before ``v`` is written, so a fit allocates one block of that
+    size, not one a Newton step.  glibc's malloc maps such a block afresh,
+    faulting in every page, when its heap has no free block as large; one a
+    step cost an n = 600 fit about 8,200 page faults in the benchmark's
+    process.  Every estimation function evaluates the model, and its
+    curvature, through this class, which first rejects covariates too
+    large for its sums (``_check_covariate_scale``).
     """
 
     def __init__(self, data, family, gamma=None):
@@ -326,20 +335,32 @@ class _MomentSystem:
         self.z = data.covariates if gamma is None else data.covariates[:, :0]
         self.offset = None if gamma is None else data.covariates @ gamma
         self.label = "joint solver" if gamma is None else "degree solver"
-        self.v = np.empty((data.n, data.n))
+        n = data.n
+        self._buffer = np.empty(max(n * n, self.z.shape[1] * data.n_pairs))
+        self.v = self._buffer[:n * n].reshape(n, n)
 
-    def evaluate(self, beta, gamma):
-        data = self.data
+    def _column_rows(self):
+        """A (p, n_pairs) array over the buffer of ``v``, one contiguous row
+        per covariate column; writing it overwrites ``v``."""
+        p, m = self.z.shape[1], self.data.n_pairs
+        return self._buffer[:p * m].reshape(p, m)
+
+    def index(self, beta, gamma):
+        """The pair index pi at (beta, gamma), a new array."""
         pi = _row_ends(beta)
         pi += _col_ends(beta)
         if self.offset is not None:
             pi += self.offset
         pi += self.z @ gamma
-        mu, slope = self.family._mean_and_slope(pi)
+        return pi
+
+    def evaluate(self, beta, gamma):
+        data = self.data
+        mu, slope = self.family._mean_and_slope(self.index(beta, gamma))
         f = data.degrees - data.node_pair_sums(mu)
         q = self.z.T @ (data.pair_weights - mu)
         f_norm, q_norm = float(np.abs(f).max()), float(np.abs(q).max(initial=0.0))
-        return _Iterate(beta, gamma, pi, mu, slope, f, q, f_norm, q_norm, max(f_norm, q_norm))
+        return _Iterate(beta, gamma, mu, slope, f, q, f_norm, q_norm, max(f_norm, q_norm))
 
     def curvature(self, slope, slope_sums, f=None, rtol=_CG_RTOL):
         """The ``_Curvature`` at pair ``slope`` with positive node sums ``slope_sums``.
@@ -348,10 +369,10 @@ class _MomentSystem:
         positive definite) into ``v`` and solves it by ``_cg`` to relative
         residual ``rtol`` against dF/dgamma, and the degree residuals ``f`` if given.
         """
-        zs = self.z.T * slope  # (p, n_pairs), one contiguous row per column of z
+        zs = np.multiply(self.z.T, slope, out=self._column_rows())
         dq_dgamma = -(zs @ self.z)
         df_dgamma = -self.data.node_pair_sums(zs.T)
-        del zs
+        del zs  # v is written over it
         rhs = df_dgamma if f is None else np.column_stack([f, df_dgamma])
         a = symmetric_from_pairs(self.data.n, slope, slope_sums, self.v)
         solved = np.column_stack([_cg(a, slope_sums, b, rtol) for b in rhs.T])
@@ -367,8 +388,8 @@ class _MomentSystem:
         """Leading incidental-parameter bias of the coefficients at ``state``,
         given the node sums ``slope_sums`` of its slopes (see ``homophily_bias``)."""
         data = self.data
-        m2 = self.family._mean_curvature(state.pi, state.mu, state.slope)
-        weighted = data.node_pair_sums((self.z.T * m2).T)
+        m2 = self.family._mean_curvature(self.index(state.beta, state.gamma), state.mu, state.slope)
+        weighted = data.node_pair_sums(np.multiply(self.z.T, m2, out=self._column_rows()).T)
         n_ordered = data.n * (data.n - 1)
         return (weighted / slope_sums[:, None]).sum(axis=0) / (2.0 * np.sqrt(n_ordered))
 
@@ -395,11 +416,14 @@ class _MomentSystem:
                     f"(residuals: degree {state.f_norm:.3e}, covariate {state.q_norm:.3e})",
                     residual=state.merit,
                 )
-            state, halvings = self._step(state, start)
+            d_beta, d_gamma = self._direction(state, start)
+            beta, gamma, merit = state.beta, state.gamma, state.merit
+            state = None  # the trials need only these: free the iterate's pair vectors
+            state, halvings = self._line_search(beta, gamma, merit, d_beta, d_gamma)
 
-    def _step(self, state, start):
-        """One inexact Newton step (see the module docstring), halved until
-        the larger residual norm falls; ``start`` is the merit at the first iterate."""
+    def _direction(self, state, start):
+        """The inexact Newton step (d_beta, d_gamma) at ``state`` (see the module
+        docstring); ``start`` is the merit at the first iterate."""
         slope, merit = state.slope, state.merit
         slope_sums = self.data.node_pair_sums(slope)
         if not np.all(slope_sums > 0.0):
@@ -428,11 +452,16 @@ class _MomentSystem:
                 f"{self.label} diverged to non-finite values (last residual {merit:.3e})",
                 residual=merit,
             )
+        return d_beta, d_gamma
+
+    def _line_search(self, beta, gamma, merit, d_beta, d_gamma):
+        """The first iterate along the step from (beta, gamma), halved until
+        its merit falls below ``merit``, and the number of halvings."""
         length = max(np.abs(d_beta).max(), np.abs(d_gamma).max(initial=0.0))
         scale = _MAX_STEP / length if length > _MAX_STEP else 1.0
         for halvings in range(_MAX_HALVINGS + 1):
             try:
-                trial = self.evaluate(state.beta + scale * d_beta, state.gamma + scale * d_gamma)
+                trial = self.evaluate(beta + scale * d_beta, gamma + scale * d_gamma)
             except DataError:
                 trial = None  # the mean is not finite at the trial index (Poisson overflow)
             if trial is not None and trial.merit < merit:
@@ -509,15 +538,16 @@ def bias_correct(gamma, profile_hessian, bias, n):
     return gamma - np.sqrt(n_ordered) * step
 
 
-def _standard_errors(data, family, curv, mu):
-    var = family._variance_from_mean(mu)
+def _standard_errors(system, curv, mu):
+    data = system.data
+    var = system.family._variance_from_mean(mu)
     se_beta = np.sqrt(data.node_pair_sums(var)) / curv.slope_sums
     del var
 
     # concentrated score per pair, one row per coefficient: r (z - (dQ/dbeta) V^{-1} T_ij),
     # where V^{-1} (dQ/dbeta)^T = V^{-1} dF/dgamma because V = V^T
     resid = data.pair_weights - mu
-    score = np.empty((data.n_covariates, data.n_pairs))
+    score = system._column_rows()
     for row, z, proj in zip(score, data.covariates.T, curv.solved.T):
         np.subtract(z, _row_ends(proj), out=row)
         row -= _col_ends(proj)
@@ -539,7 +569,7 @@ def standard_errors(data, family, beta, gamma):
     system, state = _evaluate(data, family, beta, gamma)
     curv = system.curvature(state.slope, _slope_sums(data, state.slope))
     _assert_profile_invertible(curv.h, curv.scale)
-    return _standard_errors(data, system.family, curv, state.mu)
+    return _standard_errors(system, curv, state.mu)
 
 
 def _diagnostics(data, slope, h):
@@ -610,7 +640,7 @@ def fit(data, family, config=None):
         _assert_profile_invertible(curv.h, curv.scale)
         bias = system.bias(state, curv.slope_sums)
         gamma_bc = bias_correct(state.gamma, curv.h, bias, data.n)
-        se_beta, se_gamma = _standard_errors(data, family, curv, state.mu)
+        se_beta, se_gamma = _standard_errors(system, curv, state.mu)
     except (NonConvergenceError, SingularDesignError) as exc:
         exc.trace = trace
         raise

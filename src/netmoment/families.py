@@ -134,10 +134,14 @@ def _normal_quantile(p):
 
 
 def _logistic(pi):
-    # scipy's expit formula; exp(-pi) overflows to inf for pi < -709, where
-    # the quotient is the correct 0.0
+    # scipy's expit formula 1 / (1 + exp(-pi)), computed in one new array;
+    # exp(-pi) overflows to inf for pi < -709, where the quotient is the correct 0.0
+    out = np.negative(pi, out=np.empty(np.shape(pi)))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-pi))
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()]  # a numpy scalar for a scalar pi
 
 
 def _poisson_mean(pi):
@@ -170,8 +174,12 @@ class EdgeFamily:
         raise NotImplementedError
 
     def _variance_from_mean(self, mu):
-        # mu (1 - mu) for binary edges, mu for counts
-        return mu * (1.0 - mu) if self.support == "binary" else mu
+        # mu (1 - mu) for binary edges, in one new array; mu itself for counts
+        if self.support != "binary":
+            return mu
+        var = np.subtract(1.0, mu)
+        var *= mu
+        return var
 
     # A canonical link's mean slope is its variance, so these two take everything
     # from the mean; a family with another link (probit) overrides both.
@@ -184,7 +192,12 @@ class EdgeFamily:
     def _mean_curvature(self, pi, mu, slope):
         """The second derivative of the mean at ``pi``, given ``mu, slope = _mean_and_slope(pi)``;
         ``mean_derivs`` returns it second."""
-        return slope * (1.0 - 2.0 * mu) if self.support == "binary" else slope
+        if self.support != "binary":
+            return slope
+        m2 = np.multiply(mu, -2.0)  # slope (1 - 2 mu), in one new array
+        m2 += 1.0
+        m2 *= slope
+        return m2
 
     def sample(self, pi, rng):
         """Draw edge weights with the family's marginal at ``pi``."""

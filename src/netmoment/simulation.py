@@ -5,7 +5,8 @@ any edge family, or under a single-factor equicorrelated latent construction
 for the probit family, which keeps every edge marginal exact while making
 dyads dependent.  The Monte Carlo harness fits each generated network and
 summarizes estimation errors, confidence-interval coverage, and empirical
-convergence rates.
+convergence rates.  A study runs one worker process per share of its
+replicates, the shares balanced by the summed squares of their network sizes.
 
 All randomness flows through counter-based generators seeded from the spec:
 replicate r, attempt a of a study with base seed s uses the stream
@@ -24,7 +25,8 @@ from .blas import single_blas_thread
 from .errors import DataError, DegenerateDegreeError, NetmomentError, _finite, _integer
 from .estimation import _solver_config, check_interior_degrees, fit
 from .families import get_family
-from .network import NetworkData, _col_ends, _row_ends, pair_count, symmetric_from_pairs
+from .network import (
+    NetworkData, _col_ends, _pair_columns, _row_ends, pair_count, symmetric_from_pairs)
 
 COVARIATE_KINDS = ("iid_pm1", "iid_uniform", "node_distance")
 DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
@@ -176,6 +178,9 @@ def generate_with_truth(spec, rng=None):
     if rng is None:
         rng = _rng_for(spec)
     n = spec.n
+    # the column index every network of n nodes shares, held for the whole call
+    # so that the covariates, the index and the network do not each build it
+    cols = _pair_columns(n)
     if spec.beta_star is None:
         beta = rng.uniform(-spec.beta_range, spec.beta_range, size=n)
     else:
@@ -183,7 +188,7 @@ def generate_with_truth(spec, rng=None):
     gamma = np.asarray(spec.gamma_star, dtype=float)
     z = spec.covariates.draw(n, rng)
     pi = _row_ends(beta)
-    pi += _col_ends(beta)
+    pi += beta.take(cols)
     pi += z @ gamma
 
     if spec.noise_free:
@@ -252,6 +257,75 @@ def _worker_count(n_tasks):
     return min(cap, n_tasks)
 
 
+def _shares(tasks, workers):
+    """``tasks``, sorted largest network first, dealt into ``workers`` shares:
+    each task to the share with the least summed n^2 so far (a fit's work
+    grows about as n^2), the first such share on a tie."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for task in tasks:
+        k = loads.index(min(loads))
+        shares[k].append(task)
+        loads[k] += task[0].n ** 2
+    return shares
+
+
+def _run_share(share, sender):
+    """A study worker: send the records of the replicates in ``share``, or
+    the exception that stopped them, to the parent over ``sender``."""
+    try:
+        result = [_run_replicate(*task) for task in share]
+    except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
+def _run_workers(shares):
+    """The records of every share, each share run by one worker process.
+
+    On Linux the workers are forked, which starts them fastest; elsewhere
+    they start by the caller's default method.  A worker's exception is
+    raised here with its own type; a worker that dies before it sends its
+    records raises ``RuntimeError``.  However the call ends, no worker
+    outlives it: those still running are terminated, and every one joined.
+    """
+    # imported here so that a process that never runs a study
+    # (the CLI's simulate and fit) does not load the process machinery
+    import multiprocessing
+
+    # load numpy.random (numpy imports it lazily) here once, not in every forked worker
+    import numpy.random  # noqa: F401
+
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    workers, records = [], []
+    try:
+        for share in shares:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_run_share, args=(share, sender))
+            process.start()
+            sender.close()  # the worker holds the only sending end, so its death ends the pipe
+            workers.append((process, receiver))
+        for process, receiver in workers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"study worker exited with code {process.exitcode} "
+                                   "before it sent its records") from None
+            if isinstance(result, BaseException):
+                raise result
+            records += result
+        for process, _ in workers:
+            process.join()
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            if process.is_alive():  # the call is ending on an exception
+                process.terminate()
+            process.join()
+    return records
+
+
 @dataclass
 class McStudyReport:
     """Per-replicate records plus per-n summaries of a Monte Carlo study.
@@ -310,17 +384,20 @@ def run_mc_study(specs, replicates, config=None):
     per attempt) and recorded as failures if still degenerate; fitting
     errors are recorded as failures as well.  Workers run in parallel when
     more than one CPU is available; the NETMOMENT_THREADS environment
-    variable caps their number.
+    variable caps their number.  Each worker is one process that runs one
+    share of the replicates: largest networks first, each replicate dealt
+    to the share with the least summed n^2 so far.  The study starts its
+    workers and joins them before it returns, on an exception too.
 
     Every replicate is fitted with one BLAS thread per process, so records
     depend neither on the worker count, nor on the caller's BLAS threads,
     nor on how workers start: ``fit`` pins OpenBLAS itself.  On Linux
-    workers are forked, which starts them fastest.  The study also holds
-    one BLAS thread for the whole call, so forked workers start with it; on
-    a 2-CPU host that takes a 3-fit study about two thirds of the time it
-    takes when only each fit holds it.  The setting is process-wide while
-    the call runs: other threads of the caller also get single-threaded
-    OpenBLAS until it returns, when the caller's thread counts are restored.
+    workers are forked, which starts them fastest; elsewhere they start by
+    the caller's default method.  The study also holds one BLAS thread for
+    the whole call, so forked workers start with it.  The setting is
+    process-wide while the call runs: other threads of the caller also get
+    single-threaded OpenBLAS until it returns, when the caller's thread
+    counts are restored.
     """
     _integer("replicates", replicates, 1)
     specs = list(specs) if np.iterable(specs) else None
@@ -339,23 +416,9 @@ def run_mc_study(specs, replicates, config=None):
     workers = _worker_count(len(tasks))
     with single_blas_thread():
         if workers > 1:
-            # imported here so that a process that never runs a study
-            # (the CLI's simulate and fit) does not load the pool machinery
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # load numpy.random (numpy imports it lazily) here once, not in
-            # every forked worker
-            import numpy.random  # noqa: F401
-
-            # each fit pins OpenBLAS itself, so forking only starts workers sooner: a 4-fit
-            # study on 2 CPUs takes 0.15-0.23 s forked, 0.43-0.62 s under forkserver or spawn
-            fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                chunksize = max(1, len(tasks) // (4 * workers))
-                records = list(pool.map(_run_replicate, *zip(*tasks), chunksize=chunksize))
+            records = _run_workers(_shares(tasks, workers))
         else:
-            records = list(map(_run_replicate, *zip(*tasks)))
+            records = [_run_replicate(*task) for task in tasks]
     records.sort(key=lambda r: (r["n"], r["spec_index"], r["replicate"]))
 
     summaries = [_summarize(spec, [r for r in records if r["spec_index"] == k])

@@ -662,7 +662,7 @@ def test_cli_processes_load_no_scipy(tmp_path, family, n):
     even lazily, on a small network or a larger one.  scipy.special alone
     takes longer to import than the whole package.  Nor do they import
     ``multiprocessing`` or ``concurrent.futures``: ``run_mc_study`` imports
-    its pool machinery itself, so processes that run no study skip it."""
+    multiprocessing itself, so processes that run no study skip it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     prefix = str(tmp_path / "net")

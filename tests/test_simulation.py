@@ -4,29 +4,34 @@ import functools
 import gc
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netmoment import blas, simulation
+from netmoment import blas, network, simulation
 from netmoment.blas import openblas_thread_controls, single_blas_thread
 from netmoment.errors import DataError, DegenerateDegreeError
 from netmoment.estimation import SolverConfig, check_interior_degrees, fit
 from netmoment.families import get_family
 from netmoment.network import pair_count, pair_indices, pair_offset
 from netmoment.simulation import (
+    COVARIATE_KINDS,
     CovariateRule,
     GenSpec,
     _rate_slope,
     _rng_for,
     _run_replicate,
+    _shares,
     _worker_count,
     generate_with_truth,
     run_mc_study,
@@ -186,6 +191,21 @@ class TestGenerate:
         assert np.array_equal(a.beta_star, b.beta_star)
         assert np.array_equal(a.data.covariates, b.data.covariates)
 
+    @pytest.mark.parametrize("kind", COVARIATE_KINDS)
+    def test_column_index_built_once(self, monkeypatch, kind):
+        """With no network of its size alive, a generation builds the shared
+        column index once: not again for the covariates, the index and the network."""
+        builds = []
+
+        class Counting(weakref.WeakValueDictionary):
+            def __setitem__(self, key, value):
+                builds.append(key)
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(network, "_PAIR_COLUMNS", Counting())
+        generate_with_truth(GenSpec(n=23, covariates=CovariateRule(kind), seed=1))
+        assert builds == [23]
+
     def test_replicate_and_attempt_streams_differ(self):
         spec = GenSpec(n=15, family="logistic", gamma_star=(0.4,), seed=7)
         base = generate_with_truth(spec, _rng_for(spec, 0, 0))
@@ -306,11 +326,14 @@ class TestAllocationBudgets:
 
     @pytest.mark.parametrize("family", ["logistic", "probit", "poisson"])
     def test_fit_above_its_inputs(self, family):
-        # 9.1 vectors for logistic and probit, 8.1 for Poisson; a copy of the
-        # column index (np.take and np.bincount copy a read-only one) makes 10.1
+        # 6.1 vectors for logistic and probit, 5.1 for Poisson: the (n, n)
+        # buffer of -V (two vectors, which also hold the products with the two
+        # covariate columns) and at most four pair vectors at once, three for
+        # Poisson, whose slope is its mean; a copy of the column index (np.take
+        # and np.bincount copy a read-only one) makes 7.1
         synth, _, _ = self._generate(family)
         _, _, peak = traced_peak(fit, synth.data, family)
-        assert peak <= 9.5 * self.VECTOR
+        assert peak <= 6.5 * self.VECTOR
 
 
 class TestRunReplicate:
@@ -532,6 +555,59 @@ class TestRunMcStudy:
         assert serial.summaries == parallel.summaries
 
 
+
+_TWO_FORKED_WORKERS = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two forked workers: Linux and two CPUs")
+
+
+class TestStudyWorkers:
+    """Each study worker runs one share of the replicates in its own process;
+    whatever happens in a worker, the study ends with every worker joined."""
+
+    def test_shares_balance_the_squared_sizes(self):
+        """The benchmark's grid: the largest fit alone, the two smaller together."""
+        tasks = [(GenSpec(n=n, seed=0), 0, None, k) for k, n in enumerate((200, 100, 50))]
+        assert [[task[0].n for task in share] for share in _shares(tasks, 2)] == [[200], [100, 50]]
+
+    def _study(self, monkeypatch, first, second=_run_replicate):
+        """A study of n = 16 and 12 on two workers: the first runs ``first()``
+        for its n = 16 replicate, the second ``second`` for its n = 12 one."""
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+
+        def patched(spec, *args):
+            return first() if spec.n == 16 else second(spec, *args)
+
+        monkeypatch.setattr(simulation, "_run_replicate", patched)
+        return run_mc_study([GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)], 1)
+
+    @staticmethod
+    def _failing():
+        raise ZeroDivisionError("replicate of n=16")
+
+    @_TWO_FORKED_WORKERS
+    def test_worker_exception_keeps_its_type_and_message(self, monkeypatch):
+        with pytest.raises(ZeroDivisionError, match="replicate of n=16"):
+            self._study(monkeypatch, self._failing)
+        assert multiprocessing.active_children() == []
+
+    @_TWO_FORKED_WORKERS
+    def test_worker_that_dies_raises_runtime_error(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="exited with code 3 before it sent its records"):
+            self._study(monkeypatch, lambda: os._exit(3))
+        assert multiprocessing.active_children() == []
+
+    @_TWO_FORKED_WORKERS
+    def test_failure_terminates_the_workers_still_running(self, monkeypatch):
+        """The second worker sleeps far past the first one's failure; the
+        study raises at once and leaves no worker behind."""
+        start = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="replicate of n=16"):
+            self._study(monkeypatch, self._failing, lambda *args: time.sleep(60))
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+
 def _blas_counts():
     return [getter() for getter, _ in openblas_thread_controls()]
 
@@ -652,27 +728,27 @@ def test_records_independent_of_blas_and_worker_threads():
 
 
 START_METHOD_SCRIPT = """
-import concurrent.futures, json, multiprocessing, sys, types
+import json, multiprocessing, sys, types
 from netmoment import simulation
 if sys.argv[1] != "default":
-    # off Linux the pool takes the caller's start method (mp_context=None)
+    # off Linux the workers take the caller's start method
     multiprocessing.set_start_method(sys.argv[1], force=True)
     simulation.sys = types.SimpleNamespace(platform="other")
-methods, Pool = [], concurrent.futures.ProcessPoolExecutor
+methods, get_context = [], multiprocessing.get_context
 
-def recording(*args, mp_context=None, **kwargs):
-    methods.append((mp_context or multiprocessing.get_context()).get_start_method())
-    return Pool(*args, mp_context=mp_context, **kwargs)
+def recording(method=None):
+    context = get_context(method)
+    methods.append(context.get_start_method())
+    return context
 
-concurrent.futures.ProcessPoolExecutor = recording
+multiprocessing.get_context = recording
 """ + STUDY_SCRIPT + "print(json.dumps(methods))\n"
 
 
-@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs a forked pool of two workers: Linux and two CPUs")
+@_TWO_FORKED_WORKERS
 def test_records_independent_of_start_method():
-    """Records do not depend on how pool workers start, since each fit pins
-    OpenBLAS to one thread itself.  On Linux the pool forks whatever the
+    """Records do not depend on how study workers start, since each fit pins
+    OpenBLAS to one thread itself.  On Linux the study forks whatever the
     caller's start method; the study here also runs through the branch
     other platforms take, under forkserver and under spawn, with workers
     that start a fresh interpreter with default BLAS threads."""
@@ -709,8 +785,7 @@ print(json.dumps([r["imported"] for r in report.records]))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs a forked pool of two workers: Linux and two CPUs")
+@_TWO_FORKED_WORKERS
 @pytest.mark.parametrize("family", ["logistic", "probit"])
 def test_pool_workers_import_nothing(family):
     """A study loads numpy.random (which numpy imports lazily) before it
