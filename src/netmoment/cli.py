@@ -1,8 +1,8 @@
 """Command line front end: fit, simulate, and mc-study subcommands.
 
-Exit codes: 0 on success, 1 on data, design, usage or file errors (one-line
-message on stderr), 2 on solver non-convergence (iteration trace emitted as
-JSON).
+Exit codes: 0 on success, 1 on data, design, usage or file errors or a study
+worker that died (one-line message on stderr), 2 on solver non-convergence
+(iteration trace emitted as JSON).
 """
 
 import argparse

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, _finite, _integer
 from .estimation import SolverConfig
-from .network import _col_ends, _network, _row_ends, pair_count, pair_offset, symmetric_from_pairs
+from .network import _network, _pair_differences, pair_count, pair_offset, symmetric_from_pairs
 from .simulation import _COVERAGE_FIELDS, CovariateRule, GenSpec
 
 TRANSFORMS = ("none", "euclidean_distance", "match_indicator")
@@ -230,11 +230,10 @@ def derive_pair_covariates(node_attrs, transform):
     attrs = _finite("node attributes", node_attrs)
     if np.ndim(attrs) != 2 or attrs.shape[0] < 2:
         raise DataError("node attributes must be a 2-D array with at least 2 rows")
+    diff = _pair_differences(attrs)
     if transform == "euclidean_distance":
-        diff = _row_ends(attrs)
-        diff -= _col_ends(attrs)
         return np.linalg.norm(diff, axis=1)[:, None]
-    return np.all(_row_ends(attrs) == _col_ends(attrs), axis=1).astype(float)[:, None]
+    return np.all(diff == 0.0, axis=1).astype(float)[:, None]  # finite: a - b == 0 iff a == b
 
 
 def _output(dest):
@@ -312,15 +311,12 @@ def write_fit_result_json(dest, result, bias_correct=True):
 
 def fit_result_csv_rows(result, bias_correct=True):
     """Flat rows (parameter, index, estimate, std_error) for a fit."""
-    rows = [["parameter", "index", "estimate", "std_error"]]
-    for i, (b, se) in enumerate(zip(result.beta, result.se_beta)):
-        rows.append(["beta", i, repr(float(b)), repr(float(se))])
-    for k, (g, se) in enumerate(zip(result.gamma, result.se_gamma)):
-        rows.append(["gamma", k, repr(float(g)), repr(float(se))])
+    blocks = [("beta", result.beta, result.se_beta), ("gamma", result.gamma, result.se_gamma)]
     if bias_correct:
-        for k, (g, se) in enumerate(zip(result.gamma_bc, result.se_gamma)):
-            rows.append(["gamma_bc", k, repr(float(g)), repr(float(se))])
-    return rows
+        blocks.append(("gamma_bc", result.gamma_bc, result.se_gamma))
+    return [["parameter", "index", "estimate", "std_error"]] + [
+        [name, k, repr(float(value)), repr(float(se))]
+        for name, values, errors in blocks for k, (value, se) in enumerate(zip(values, errors))]
 
 
 def _csv_cell(value):
@@ -337,10 +333,8 @@ def _csv_cell(value):
 def report_csv_rows(report):
     """One flat CSV row per replicate, its columns in record order; each coverage
     field expands to one column per coefficient, blank past a record's own."""
-    p = 0
-    for record in report.records:
-        for key in _COVERAGE_FIELDS:
-            p = max(p, len(record[key] or []))
+    p = max((len(record[key] or []) for record in report.records for key in _COVERAGE_FIELDS),
+            default=0)
     rows = []
     for record in report.records:
         row = {}

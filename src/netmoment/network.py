@@ -3,10 +3,11 @@
 Pair-indexed storage: quantities attached to unordered node pairs live in
 flat arrays of length n*(n-1)/2, ordered row-major over the strict lower
 triangle, i.e. pair (i, j) with i > j sits at offset i*(i-1)/2 + j.  This is
-the order produced by ``numpy.tril_indices(n, -1)``, so row i's pairs form one
-contiguous block; ``symmetric_from_pairs`` is the one writer of a dense matrix
-from pair order.  Pair covariates are stored column-major: each covariate is
-one contiguous run of n*(n-1)/2 values.
+the order of ``numpy.tril_indices(n, -1)`` and of the mask ``np.tri(n, k=-1,
+dtype=bool)``, so row i's pairs form one contiguous block; the one writer of
+a dense matrix (V too) from pair order, ``symmetric_from_pairs``, writes
+through that mask and its transpose.  Pair covariates are stored
+column-major: each covariate is one contiguous run of n*(n-1)/2 values.
 
 The pair index depends on n alone, so no network stores its own.  Row i
 holds i pairs, so the row ends of all pairs are ``repeat(arange(n))`` of a
@@ -84,15 +85,22 @@ def _col_ends(x):
     return x.take(_pair_columns(len(x)), axis=0)
 
 
+@np.errstate(over="ignore")  # a difference past the float range is inf, no warning
+def _pair_differences(x):
+    """x[rows] - x[cols] along axis 0 for the pairs of len(x) nodes, as a new array."""
+    diff = _row_ends(x)
+    diff -= _col_ends(x)
+    return diff
+
+
 def symmetric_from_pairs(n, pair_values, diagonal=0.0, out=None):
     """The symmetric (n, n) matrix with ``pair_values`` (in pair order) off the
     diagonal and ``diagonal`` on it, written into every entry of ``out`` (a new
-    array when None) one row block at a time."""
+    array when None)."""
     out = np.empty((n, n)) if out is None else out
-    start = 0
-    for i in range(1, n):
-        out[i, :i] = out[:i, i] = pair_values[start:start + i]
-        start += i
+    below = np.tri(n, k=-1, dtype=bool)
+    out[below] = pair_values
+    out.T[below] = pair_values
     np.fill_diagonal(out, diagonal)
     return out
 

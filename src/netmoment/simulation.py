@@ -26,7 +26,7 @@ from .errors import DataError, DegenerateDegreeError, NetmomentError, _finite, _
 from .estimation import _solver_config, check_interior_degrees, fit
 from .families import get_family
 from .network import (
-    NetworkData, _col_ends, _pair_columns, _row_ends, pair_count, symmetric_from_pairs)
+    NetworkData, _pair_columns, _pair_differences, _row_ends, pair_count, symmetric_from_pairs)
 
 COVARIATE_KINDS = ("iid_pm1", "iid_uniform", "node_distance")
 DEPENDENCE_MODES = ("independent", "equicorrelated_probit")
@@ -85,9 +85,7 @@ class CovariateRule:
         if self.kind == "iid_uniform":
             return rng.uniform(self.low, self.high, size=(m, self.p))
         x = rng.uniform(0.0, 1.0, size=(n, self.dim))
-        diff = _row_ends(x)
-        diff -= _col_ends(x)
-        return np.linalg.norm(diff, axis=1)[:, None]
+        return np.linalg.norm(_pair_differences(x), axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -273,10 +271,9 @@ def _run_share(share, sender):
     """A study worker: send the records of the replicates in ``share``, or
     the exception that stopped them, to the parent over ``sender``."""
     try:
-        result = [_run_replicate(*task) for task in share]
+        sender.send([_run_replicate(*task) for task in share])
     except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
-        result = exc
-    sender.send(result)
+        sender.send(exc)
     sender.close()
 
 
@@ -284,44 +281,44 @@ def _run_workers(shares):
     """The records of every share, each share run by one worker process.
 
     On Linux the workers are forked, which starts them fastest; elsewhere
-    they start by the caller's default method.  A worker's exception is
-    raised here with its own type; a worker that dies before it sends its
-    records raises ``RuntimeError``.  However the call ends, no worker
-    outlives it: those still running are terminated, and every one joined.
+    they start by the caller's default method.  Each worker is heard from,
+    and joined, as it finishes.  A worker's exception is raised at once with
+    its own type, and a worker that dies unsent raises ``ChildProcessError``;
+    no worker outlives the call: those still running are terminated.
     """
-    # imported here so that a process that never runs a study
-    # (the CLI's simulate and fit) does not load the process machinery
-    import multiprocessing
-
-    # load numpy.random (numpy imports it lazily) here once, not in every forked worker
+    # imported here so that a process that never runs a study (the CLI's simulate
+    # and fit) does not load the process machinery; numpy.random, which numpy
+    # imports lazily, is loaded here once, not in every forked worker
+    import multiprocessing.connection
     import numpy.random  # noqa: F401
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    workers, records = [], []
+    running, records = {}, []  # each worker whose records are not yet in, by its receiving end
     try:
         for share in shares:
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(target=_run_share, args=(share, sender))
             process.start()
             sender.close()  # the worker holds the only sending end, so its death ends the pipe
-            workers.append((process, receiver))
-        for process, receiver in workers:
-            try:
-                result = receiver.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"study worker exited with code {process.exitcode} "
-                                   "before it sent its records") from None
-            if isinstance(result, BaseException):
-                raise result
-            records += result
-        for process, _ in workers:
-            process.join()
+            running[receiver] = process
+        while running:
+            for receiver in multiprocessing.connection.wait(list(running)):
+                process = running[receiver]
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    process.join()
+                    raise ChildProcessError(f"study worker exited with code {process.exitcode} "
+                                            "before it sent its records") from None
+                if isinstance(result, BaseException):
+                    raise result
+                receiver.close()
+                running.pop(receiver).join()
+                records += result
     finally:
-        for process, receiver in workers:
+        for receiver, process in running.items():  # the call is ending on an exception
             receiver.close()
-            if process.is_alive():  # the call is ending on an exception
-                process.terminate()
+            process.terminate()
             process.join()
     return records
 

@@ -11,6 +11,7 @@ derandomized, so a red run in CI reproduces locally with ``CI=1``.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from oracles import degree_init_ref, degree_residuals_ref, joint_solve_ref
 settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+TWO_FORKED_WORKERS = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two forked workers: Linux and two CPUs")
 
 
 def _sample_weights(name, pi, rng):

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_instance
-from netmoment import estimation
+from conftest import TWO_FORKED_WORKERS, build_instance
+from netmoment import estimation, simulation
 from netmoment.cli import main
 from netmoment.dataio import read_pair_covariates, write_edges, write_pair_covariates
 from netmoment.network import NetworkData
@@ -598,6 +598,18 @@ seed = 5
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: NETMOMENT_THREADS must be a positive integer")
+
+    @TWO_FORKED_WORKERS
+    def test_worker_that_dies_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A study worker that dies gives one error line, not a traceback."""
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+        monkeypatch.setattr(simulation, "_run_replicate", lambda *args: os._exit(3))
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG)
+        assert main(["mc-study", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: study worker exited with code 3 before it sent its records\n"
 
     def test_matches_golden_report(self, tmp_path, monkeypatch):
         """A fresh run of the committed study config reproduces the frozen

@@ -37,6 +37,7 @@ from netmoment.simulation import (
     run_mc_study,
 )
 
+from conftest import TWO_FORKED_WORKERS
 from oracles import traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -555,12 +556,6 @@ class TestRunMcStudy:
         assert serial.summaries == parallel.summaries
 
 
-
-_TWO_FORKED_WORKERS = pytest.mark.skipif(
-    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
-    reason="needs two forked workers: Linux and two CPUs")
-
-
 class TestStudyWorkers:
     """Each study worker runs one share of the replicates in its own process;
     whatever happens in a worker, the study ends with every worker joined."""
@@ -571,39 +566,51 @@ class TestStudyWorkers:
         assert [[task[0].n for task in share] for share in _shares(tasks, 2)] == [[200], [100, 50]]
 
     def _study(self, monkeypatch, first, second=_run_replicate):
-        """A study of n = 16 and 12 on two workers: the first runs ``first()``
+        """A study of n = 16 and 12 on two workers: the first runs ``first``
         for its n = 16 replicate, the second ``second`` for its n = 12 one."""
         monkeypatch.setenv("NETMOMENT_THREADS", "2")
 
         def patched(spec, *args):
-            return first() if spec.n == 16 else second(spec, *args)
+            return (first if spec.n == 16 else second)(spec, *args)
 
         monkeypatch.setattr(simulation, "_run_replicate", patched)
         return run_mc_study([GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)], 1)
 
     @staticmethod
-    def _failing():
-        raise ZeroDivisionError("replicate of n=16")
+    def _failing(spec, *args):
+        raise ZeroDivisionError(f"replicate of n={spec.n}")
 
-    @_TWO_FORKED_WORKERS
+    @staticmethod
+    def _dying(*args):
+        os._exit(3)
+
+    @TWO_FORKED_WORKERS
     def test_worker_exception_keeps_its_type_and_message(self, monkeypatch):
         with pytest.raises(ZeroDivisionError, match="replicate of n=16"):
             self._study(monkeypatch, self._failing)
         assert multiprocessing.active_children() == []
 
-    @_TWO_FORKED_WORKERS
-    def test_worker_that_dies_raises_runtime_error(self, monkeypatch):
-        with pytest.raises(RuntimeError, match="exited with code 3 before it sent its records"):
-            self._study(monkeypatch, lambda: os._exit(3))
+    @TWO_FORKED_WORKERS
+    def test_worker_that_dies_raises_child_process_error(self, monkeypatch):
+        with pytest.raises(ChildProcessError, match="exited with code 3 before it sent its records"):
+            self._study(monkeypatch, self._dying)
         assert multiprocessing.active_children() == []
 
-    @_TWO_FORKED_WORKERS
-    def test_failure_terminates_the_workers_still_running(self, monkeypatch):
-        """The second worker sleeps far past the first one's failure; the
-        study raises at once and leaves no worker behind."""
+    @TWO_FORKED_WORKERS
+    @pytest.mark.parametrize("failure, error", [
+        (_failing, ZeroDivisionError), (_dying, ChildProcessError)], ids=["raises", "dies"])
+    @pytest.mark.parametrize("failing_n", [16, 12], ids=["first_share", "second_share"])
+    def test_failure_terminates_the_workers_still_running(self, monkeypatch, failure, error,
+                                                          failing_n):
+        """The other worker sleeps far past the failure; whichever share
+        fails, the study raises at once and leaves no worker behind."""
+        def sleeping(*args):
+            time.sleep(60)
+
+        roles = (failure, sleeping) if failing_n == 16 else (sleeping, failure)
         start = time.perf_counter()
-        with pytest.raises(ZeroDivisionError, match="replicate of n=16"):
-            self._study(monkeypatch, self._failing, lambda *args: time.sleep(60))
+        with pytest.raises(error):
+            self._study(monkeypatch, *roles)
         assert time.perf_counter() - start < 30
         assert multiprocessing.active_children() == []
 
@@ -745,7 +752,7 @@ multiprocessing.get_context = recording
 """ + STUDY_SCRIPT + "print(json.dumps(methods))\n"
 
 
-@_TWO_FORKED_WORKERS
+@TWO_FORKED_WORKERS
 def test_records_independent_of_start_method():
     """Records do not depend on how study workers start, since each fit pins
     OpenBLAS to one thread itself.  On Linux the study forks whatever the
@@ -785,7 +792,7 @@ print(json.dumps([r["imported"] for r in report.records]))
 """
 
 
-@_TWO_FORKED_WORKERS
+@TWO_FORKED_WORKERS
 @pytest.mark.parametrize("family", ["logistic", "probit"])
 def test_pool_workers_import_nothing(family):
     """A study loads numpy.random (which numpy imports lazily) before it
