@@ -232,7 +232,10 @@ def derive_pair_covariates(node_attrs, transform):
         raise DataError("node attributes must be a 2-D array with at least 2 rows")
     diff = _pair_differences(attrs)
     if transform == "euclidean_distance":
-        return np.linalg.norm(diff, axis=1)[:, None]
+        # each row divided exactly by the power of two just above its largest
+        # magnitude, so that no square overflows where the distance is finite
+        shift = -np.frexp(np.abs(diff).max(axis=1))[1]
+        return np.ldexp(np.linalg.norm(np.ldexp(diff, shift[:, None]), axis=1), -shift)[:, None]
     return np.all(diff == 0.0, axis=1).astype(float)[:, None]  # finite: a - b == 0 iff a == b
 
 

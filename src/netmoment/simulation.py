@@ -5,8 +5,8 @@ any edge family, or under a single-factor equicorrelated latent construction
 for the probit family, which keeps every edge marginal exact while making
 dyads dependent.  The Monte Carlo harness fits each generated network and
 summarizes estimation errors, confidence-interval coverage, and empirical
-convergence rates.  A study runs one worker process per share of its
-replicates, the shares balanced by the summed squares of their network sizes.
+convergence rates.  A study's worker processes each run the next replicate,
+largest network first, whenever they are free.
 
 All randomness flows through counter-based generators seeded from the spec:
 replicate r, attempt a of a study with base seed s uses the stream
@@ -255,37 +255,26 @@ def _worker_count(n_tasks):
     return min(cap, n_tasks)
 
 
-def _shares(tasks, workers):
-    """``tasks``, sorted largest network first, dealt into ``workers`` shares:
-    each task to the share with the least summed n^2 so far (a fit's work
-    grows about as n^2), the first such share on a tie."""
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for task in tasks:
-        k = loads.index(min(loads))
-        shares[k].append(task)
-        loads[k] += task[0].n ** 2
-    return shares
-
-
-def _run_share(share, sender):
-    """A study worker: send the records of the replicates in ``share``, or
-    the exception that stopped them, to the parent over ``sender``."""
+def _serve(tasks, k, conn):
+    """A study worker: run task ``k`` of ``tasks``, send its record to the
+    parent over ``conn`` and take the next index from it, until it sends
+    None; send the exception that stops it instead."""
     try:
-        sender.send([_run_replicate(*task) for task in share])
+        while k is not None:
+            conn.send(_run_replicate(*tasks[k]))
+            k = conn.recv()
     except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
-        sender.send(exc)
-    sender.close()
+        conn.send(exc)
+    conn.close()
 
 
-def _run_workers(shares):
-    """The records of every share, each share run by one worker process.
-
-    On Linux the workers are forked, which starts them fastest; elsewhere
-    they start by the caller's default method.  Each worker is heard from,
-    and joined, as it finishes.  A worker's exception is raised at once with
-    its own type, and a worker that dies unsent raises ``ChildProcessError``;
-    no worker outlives the call: those still running are terminated.
-    """
+def _run_workers(tasks, workers):
+    """The records of ``tasks``, run in list order by ``workers`` processes,
+    forked on Linux.  Worker k starts with task k; whenever a worker sends
+    back a record, the parent sends it the next task index over its pipe,
+    None when none is left.  A worker's exception is raised at once with
+    its own type, and a worker that dies raises ``ChildProcessError``; no
+    worker outlives the call: those still running are terminated."""
     # imported here so that a process that never runs a study (the CLI's simulate
     # and fit) does not load the process machinery; numpy.random, which numpy
     # imports lazily, is loaded here once, not in every forked worker
@@ -293,33 +282,40 @@ def _run_workers(shares):
     import numpy.random  # noqa: F401
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    running, records = {}, []  # each worker whose records are not yet in, by its receiving end
+    running, records, processes = {}, [], []  # the workers still serving, by the parent's pipe end
     try:
-        for share in shares:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_run_share, args=(share, sender))
+        for k in range(workers):
+            conn, child = context.Pipe()
+            process = context.Process(target=_serve, args=(tasks, k, child))
             process.start()
-            sender.close()  # the worker holds the only sending end, so its death ends the pipe
-            running[receiver] = process
+            child.close()  # the worker holds the only other end, so its death ends the pipe
+            processes.append(process)
+            running[conn] = process
+        order = iter(range(workers, len(tasks)))
         while running:
-            for receiver in multiprocessing.connection.wait(list(running)):
-                process = running[receiver]
+            for conn in multiprocessing.connection.wait(list(running)):
                 try:
-                    result = receiver.recv()
-                except EOFError:
+                    result = conn.recv()
+                    if not isinstance(result, BaseException):
+                        conn.send(k := next(order, None))
+                except (EOFError, ConnectionError):  # the worker is gone
+                    process = running[conn]
                     process.join()
                     raise ChildProcessError(f"study worker exited with code {process.exitcode} "
                                             "before it sent its records") from None
                 if isinstance(result, BaseException):
                     raise result
-                receiver.close()
-                running.pop(receiver).join()
-                records += result
+                records.append(result)
+                if k is None:
+                    conn.close()
+                    del running[conn]
     finally:
-        for receiver, process in running.items():  # the call is ending on an exception
-            receiver.close()
+        for conn, process in running.items():  # the call is ending on an exception
+            conn.close()
             process.terminate()
+        for process in processes:
             process.join()
+            process.close()
     return records
 
 
@@ -381,10 +377,10 @@ def run_mc_study(specs, replicates, config=None):
     per attempt) and recorded as failures if still degenerate; fitting
     errors are recorded as failures as well.  Workers run in parallel when
     more than one CPU is available; the NETMOMENT_THREADS environment
-    variable caps their number.  Each worker is one process that runs one
-    share of the replicates: largest networks first, each replicate dealt
-    to the share with the least summed n^2 so far.  The study starts its
-    workers and joins them before it returns, on an exception too.
+    variable caps their number.  Each worker is one process that the study
+    hands the next replicate, largest network first, whenever it is free.
+    The study starts its workers and joins them before it returns, on an
+    exception too.
 
     Every replicate is fitted with one BLAS thread per process, so records
     depend neither on the worker count, nor on the caller's BLAS threads,
@@ -413,7 +409,7 @@ def run_mc_study(specs, replicates, config=None):
     workers = _worker_count(len(tasks))
     with single_blas_thread():
         if workers > 1:
-            records = _run_workers(_shares(tasks, workers))
+            records = _run_workers(tasks, workers)
         else:
             records = [_run_replicate(*task) for task in tasks]
     records.sort(key=lambda r: (r["n"], r["spec_index"], r["replicate"]))

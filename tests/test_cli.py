@@ -277,6 +277,25 @@ class TestFit:
         result = json.loads(out.read_text())
         assert abs(result["gamma"][0] - gamma_true) <= 1e-6
 
+    def test_huge_node_attrs_exit_one_naming_the_covariate(self, tmp_path):
+        """Attributes 2e155 apart give a finite distance covariate that is too
+        large for the moment sums: the fit prints that one error line, and no
+        numpy warning, in a fresh interpreter with default warning filters."""
+        edges, attrs = tmp_path / "edges.csv", tmp_path / "attrs.csv"
+        edges.write_text("i,j,weight\n1,0,1\n2,1,1\n3,2,1\n4,3,1\n5,4,1\n5,0,1\n3,0,1\n")
+        attrs.write_text("i,x1\n0,1e155\n1,-1e155\n2,0\n3,1\n4,2\n5,3\n")
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netmoment.cli", "fit", "--family", "logistic", "--edges",
+             str(edges), "--node-attrs", str(attrs), "--transform", "euclidean_distance"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: covariate z1 has magnitude 2e+155, above the limit")
+
     def test_requires_exactly_one_covariate_source(self, noise_free_files, tmp_path, capsys):
         edges, covariates = noise_free_files
         attrs = tmp_path / "attrs.csv"

@@ -661,6 +661,15 @@ class TestDerivePairCovariates:
             expected = np.sqrt(np.sum((attrs[i] - attrs[j]) ** 2))
             assert np.isclose(z[offset, 0], expected, rtol=1e-12, atol=0.0)
 
+    def test_euclidean_distance_of_huge_attributes_is_finite(self):
+        """Differences whose squares pass the float range still give their
+        finite distances, with no overflow warning (warnings are errors)."""
+        x = np.array([1e155, -1e155, 0.0, 1.0, 2.0, 3.0])
+        z = derive_pair_covariates(x[:, None], "euclidean_distance")
+        rows, cols = pair_indices(6)
+        assert z[0, 0] == 2e155  # pair (1, 0)
+        assert np.array_equal(z[:, 0], np.abs(x[rows] - x[cols]))
+
     def test_match_indicator(self):
         attrs = [[1.0], [2.0], [1.0], [2.0]]
         z = derive_pair_covariates(attrs, "match_indicator")

@@ -1,5 +1,6 @@
 """Tests for synthetic network generation and the Monte Carlo harness."""
 
+import contextlib
 import functools
 import gc
 import json
@@ -31,7 +32,6 @@ from netmoment.simulation import (
     _rate_slope,
     _rng_for,
     _run_replicate,
-    _shares,
     _worker_count,
     generate_with_truth,
     run_mc_study,
@@ -557,13 +557,52 @@ class TestRunMcStudy:
 
 
 class TestStudyWorkers:
-    """Each study worker runs one share of the replicates in its own process;
-    whatever happens in a worker, the study ends with every worker joined."""
+    """Study workers each run the next replicate, largest network first,
+    whenever they are free; whatever happens in a worker, the study ends
+    with every worker joined."""
 
-    def test_shares_balance_the_squared_sizes(self):
-        """The benchmark's grid: the largest fit alone, the two smaller together."""
-        tasks = [(GenSpec(n=n, seed=0), 0, None, k) for k, n in enumerate((200, 100, 50))]
-        assert [[task[0].n for task in share] for share in _shares(tasks, 2)] == [[200], [100, 50]]
+    @staticmethod
+    def _placed(monkeypatch, sizes, replicates, sleep):
+        """Each replicate of a two-worker study over ``sizes`` as (n, replicate,
+        pid, start time), the replicate stubbed to sleep ``sleep(n, replicate)`` s."""
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+
+        def stub(spec, replicate, config, spec_index):
+            start = time.monotonic()
+            time.sleep(sleep(spec.n, replicate))
+            return {"spec_index": spec_index, "n": spec.n, "replicate": replicate,
+                    "failed": True, "pid": os.getpid(), "start": start}
+
+        monkeypatch.setattr(simulation, "_run_replicate", stub)
+        specs = [GenSpec(n=n, seed=k) for k, n in enumerate(sizes)]
+        records = run_mc_study(specs, replicates).records
+        assert multiprocessing.active_children() == []
+        return [(r["n"], r["replicate"], r["pid"], r["start"]) for r in records]
+
+    @staticmethod
+    def _runs(placed):
+        """The n of each replicate, by worker, in the order each worker ran them."""
+        runs = {}
+        for n, _, pid, start in sorted(placed, key=lambda r: r[3]):
+            runs.setdefault(pid, []).append(n)
+        return sorted(runs.values())
+
+    @TWO_FORKED_WORKERS
+    def test_largest_fit_runs_alone_while_the_other_worker_runs_the_rest(self, monkeypatch):
+        """The benchmark's grid, each replicate sleeping in proportion to n^2
+        as a fit's work grows: n = 200 on one worker, n = 100 then n = 50 on
+        the other."""
+        placed = self._placed(monkeypatch, (200, 100, 50), 1, lambda n, r: 2e-5 * n * n)
+        assert self._runs(placed) == [[100, 50], [200]]
+
+    @TWO_FORKED_WORKERS
+    def test_a_slow_replicate_leaves_the_rest_to_the_free_worker(self, monkeypatch):
+        """While the first n = 16 replicate sleeps, the other worker runs all
+        five other replicates, whatever their sizes."""
+        placed = self._placed(monkeypatch, (16, 12), 3, lambda n, r: 1.0 if (n, r) == (16, 0) else 0)
+        slow = next(pid for n, r, pid, _ in placed if (n, r) == (16, 0))
+        assert [(n, r) for n, r, pid, _ in placed if pid == slow] == [(16, 0)]
+        assert len({pid for _, _, pid, _ in placed}) == 2
 
     def _study(self, monkeypatch, first, second=_run_replicate):
         """A study of n = 16 and 12 on two workers: the first runs ``first``
@@ -594,6 +633,41 @@ class TestStudyWorkers:
     def test_worker_that_dies_raises_child_process_error(self, monkeypatch):
         with pytest.raises(ChildProcessError, match="exited with code 3 before it sent its records"):
             self._study(monkeypatch, self._dying)
+        assert multiprocessing.active_children() == []
+
+    @TWO_FORKED_WORKERS
+    @pytest.mark.parametrize("failure, error", [
+        (_run_replicate, None), (_failing, ZeroDivisionError), (_dying, ChildProcessError)],
+        ids=["succeeds", "raises", "dies"])
+    def test_study_closes_its_descriptors(self, monkeypatch, failure, error):
+        """With the cyclic garbage collector off, a study leaves no descriptor
+        open, on an exception too: the exception, its traceback and the
+        study's frames form a cycle that would keep worker objects alive."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                self._study(monkeypatch, failure)
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            gc.enable()
+        assert after == before
+
+    @TWO_FORKED_WORKERS
+    def test_worker_that_dies_after_a_record_raises_child_process_error(self, monkeypatch):
+        """A worker gone once it sent a record, before it takes its next task:
+        whether the parent's send finds the pipe broken or its receive finds
+        it ended, the study raises ``ChildProcessError``."""
+        def serve_once(tasks, k, conn):
+            conn.send(_run_replicate(*tasks[k]))
+            os._exit(4)
+
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+        monkeypatch.setattr(simulation, "_serve", serve_once)
+        specs = [GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)]
+        with pytest.raises(ChildProcessError, match="exited with code 4 before it sent its records"):
+            run_mc_study(specs, 2)
         assert multiprocessing.active_children() == []
 
     @TWO_FORKED_WORKERS
