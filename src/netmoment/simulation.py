@@ -5,8 +5,9 @@ any edge family, or under a single-factor equicorrelated latent construction
 for the probit family, which keeps every edge marginal exact while making
 dyads dependent.  The Monte Carlo harness fits each generated network and
 summarizes estimation errors, confidence-interval coverage, and empirical
-convergence rates.  A study's worker processes each run the next replicate,
-largest network first, whenever they are free.
+convergence rates.  A study's worker processes each take the next replicate,
+largest network first, from one shared counter whenever they are free, and
+each sends its records once, when none is left.
 
 All randomness flows through counter-based generators seeded from the spec:
 replicate r, attempt a of a study with base seed s uses the stream
@@ -14,6 +15,7 @@ replicate r, attempt a of a study with base seed s uses the stream
 independently of execution order or worker count.
 """
 
+import gc
 import os
 import reprlib
 import sys
@@ -132,8 +134,9 @@ class GenSpec:
             if np.shape(beta) != (self.n,):
                 raise DataError("beta_star must have one entry per node")
             object.__setattr__(self, "beta_star", tuple(beta.tolist()))
-        message = "beta_range must be finite and nonnegative"
-        if _finite("beta_range", self.beta_range, (), message) < 0:
+        # the draw's width 2 * beta_range must be finite too, as numpy's uniform needs
+        message = "beta_range must be nonnegative, with a finite width 2 * beta_range"
+        if not 0.0 <= 2.0 * _finite("beta_range", self.beta_range, (), message) < np.inf:
             raise DataError(message)
         if not isinstance(self.dependence, str) or self.dependence not in DEPENDENCE_MODES:
             raise DataError(f"unknown dependence mode {self.dependence!r}")
@@ -185,9 +188,13 @@ def generate_with_truth(spec, rng=None):
         beta = np.asarray(spec.beta_star, dtype=float)
     gamma = np.asarray(spec.gamma_star, dtype=float)
     z = spec.covariates.draw(n, rng)
-    pi = _row_ends(beta)
-    pi += beta.take(cols)
-    pi += z @ gamma
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once below, in every mode
+        pi = _row_ends(beta)
+        pi += beta.take(cols)
+        pi += z @ gamma
+    if not np.isfinite(pi).all():
+        raise DataError("the index beta_i + beta_j + z_ij'gamma overflows: "
+                        "beta_star, beta_range or gamma_star is too large")
 
     if spec.noise_free:
         weights = family.mean(pi)
@@ -255,14 +262,24 @@ def _worker_count(n_tasks):
     return min(cap, n_tasks)
 
 
-def _serve(tasks, k, conn):
-    """A study worker: run task ``k`` of ``tasks``, send its record to the
-    parent over ``conn`` and take the next index from it, until it sends
-    None; send the exception that stops it instead."""
+def _serve(tasks, counter, conn):
+    """A study worker: claim the next index of ``tasks`` from ``counter``
+    and run that task, until none is left, then send the parent its records
+    over ``conn`` in one message; send the exception that stops it instead."""
+    # a collection writes to the objects it visits, so in a forked worker it would
+    # copy the inherited pages (the counter's allocations just before the fork
+    # bring one on): only what the worker makes itself is collected
+    gc.freeze()
     try:
-        while k is not None:
-            conn.send(_run_replicate(*tasks[k]))
-            k = conn.recv()
+        records = []
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            if k >= len(tasks):
+                break
+            records.append(_run_replicate(*tasks[k]))
+        conn.send(records)
     except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
         conn.send(exc)
     conn.close()
@@ -270,11 +287,14 @@ def _serve(tasks, k, conn):
 
 def _run_workers(tasks, workers):
     """The records of ``tasks``, run in list order by ``workers`` processes,
-    forked on Linux.  Worker k starts with task k; whenever a worker sends
-    back a record, the parent sends it the next task index over its pipe,
-    None when none is left.  A worker's exception is raised at once with
-    its own type, and a worker that dies raises ``ChildProcessError``; no
-    worker outlives the call: those still running are terminated."""
+    forked on Linux.  Each worker claims the next task index from one shared
+    counter whenever it is free, and sends all its records in one message
+    once no task is left; the parent only collects.  A worker's exception
+    is raised at once with its own type, and a worker that dies raises
+    ``ChildProcessError``; no worker outlives the call: those still running
+    are terminated.  The counter lives in multiprocessing's shared-memory
+    heap, whose arena (two descriptors) the first study in a process maps
+    and every later one reuses."""
     # imported here so that a process that never runs a study (the CLI's simulate
     # and fit) does not load the process machinery; numpy.random, which numpy
     # imports lazily, is loaded here once, not in every forked worker
@@ -282,33 +302,30 @@ def _run_workers(tasks, workers):
     import numpy.random  # noqa: F401
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    running, records, processes = {}, [], []  # the workers still serving, by the parent's pipe end
+    counter = context.Value("q", 0)  # the next task index; it carries its own lock
+    running, records, processes = {}, [], []  # the workers still running, by the parent's pipe end
     try:
-        for k in range(workers):
-            conn, child = context.Pipe()
-            process = context.Process(target=_serve, args=(tasks, k, child))
+        for _ in range(workers):
+            conn, child = context.Pipe(duplex=False)
+            process = context.Process(target=_serve, args=(tasks, counter, child))
             process.start()
-            child.close()  # the worker holds the only other end, so its death ends the pipe
+            child.close()  # the worker holds the only write end, so its death ends the pipe
             processes.append(process)
             running[conn] = process
-        order = iter(range(workers, len(tasks)))
         while running:
             for conn in multiprocessing.connection.wait(list(running)):
                 try:
                     result = conn.recv()
-                    if not isinstance(result, BaseException):
-                        conn.send(k := next(order, None))
-                except (EOFError, ConnectionError):  # the worker is gone
+                except (EOFError, OSError):  # the worker died before or while it sent
                     process = running[conn]
                     process.join()
                     raise ChildProcessError(f"study worker exited with code {process.exitcode} "
                                             "before it sent its records") from None
                 if isinstance(result, BaseException):
                     raise result
-                records.append(result)
-                if k is None:
-                    conn.close()
-                    del running[conn]
+                records.extend(result)
+                conn.close()
+                del running[conn]
     finally:
         for conn, process in running.items():  # the call is ending on an exception
             conn.close()
@@ -377,10 +394,11 @@ def run_mc_study(specs, replicates, config=None):
     per attempt) and recorded as failures if still degenerate; fitting
     errors are recorded as failures as well.  Workers run in parallel when
     more than one CPU is available; the NETMOMENT_THREADS environment
-    variable caps their number.  Each worker is one process that the study
-    hands the next replicate, largest network first, whenever it is free.
-    The study starts its workers and joins them before it returns, on an
-    exception too.
+    variable caps their number.  Each worker is one process that takes the
+    next replicate, largest network first, from a counter the workers
+    share whenever it is free, and sends the study all its records in one
+    message once none is left.  The study starts its workers and joins
+    them before it returns, on an exception too.
 
     Every replicate is fitted with one BLAS thread per process, so records
     depend neither on the worker count, nor on the caller's BLAS threads,

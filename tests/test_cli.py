@@ -132,6 +132,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flags", [
         ["--seed", "-1"],
         ["--covariate-rule", "iid_uniform", "--covariate-high", "inf"],
+        ["--beta-range", "1e308"],
+        ["--gamma-star", "1e308,1e308", "--covariate-p", "2"],
     ])
     def test_invalid_generation_setting_exits_one(self, tmp_path, capsys, flags):
         code = main(["simulate", "--family", "logistic", "--n", "10", "--gamma-star", "0.5",
@@ -594,6 +596,7 @@ seed = 5
     @pytest.mark.parametrize("flags, extra", [
         (["--seed", "-3"], ""),
         ([], "covariate_rule = iid_uniform\ncovariate_high = inf\n"),
+        ([], "beta_range = 1e308\n"),
     ])
     def test_invalid_generation_setting_exits_one(self, tmp_path, capsys, flags, extra):
         cfg = tmp_path / "study.cfg"

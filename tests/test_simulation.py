@@ -6,7 +6,9 @@ import gc
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -159,6 +161,12 @@ class TestGenSpecValidation:
         with pytest.raises(DataError, match="beta_range"):
             GenSpec(n=10, beta_range=-1.0)
 
+    @pytest.mark.parametrize("beta_range", [1e308, np.finfo(float).max])
+    def test_rejects_beta_range_whose_draw_overflows(self, beta_range):
+        # numpy's uniform on [-beta_range, beta_range] needs a finite width
+        with pytest.raises(DataError, match="beta_range must be nonnegative, with a finite width"):
+            GenSpec(n=10, beta_range=beta_range)
+
     def test_rejects_unknown_dependence(self):
         with pytest.raises(DataError, match="dependence mode"):
             GenSpec(n=10, dependence="markov")
@@ -206,6 +214,22 @@ class TestGenerate:
         monkeypatch.setattr(network, "_PAIR_COLUMNS", Counting())
         generate_with_truth(GenSpec(n=23, covariates=CovariateRule(kind), seed=1))
         assert builds == [23]
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"noise_free": True},
+        {"family": "probit", "dependence": "equicorrelated_probit", "rho": 0.3}],
+        ids=["independent", "noise_free", "equicorrelated_probit"])
+    @pytest.mark.parametrize("truth", [
+        {"gamma_star": (1e308, 1e308)},
+        {"beta_star": (1e308,) * 5, "gamma_star": (-1e308, -1e308)}], ids=["inf", "inf_and_nan"])
+    def test_overflowing_index_raises_data_error(self, kwargs, truth):
+        """An index past the float range, infinite or NaN, raises ``DataError``
+        in every mode, with no numpy warning; it is never sampled or thresholded."""
+        spec = GenSpec(n=5, covariates=CovariateRule(p=2), **truth, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="index .* overflows"):
+                generate_with_truth(spec)
 
     def test_replicate_and_attempt_streams_differ(self):
         spec = GenSpec(n=15, family="logistic", gamma_star=(0.4,), seed=7)
@@ -640,35 +664,112 @@ class TestStudyWorkers:
         (_run_replicate, None), (_failing, ZeroDivisionError), (_dying, ChildProcessError)],
         ids=["succeeds", "raises", "dies"])
     def test_study_closes_its_descriptors(self, monkeypatch, failure, error):
-        """With the cyclic garbage collector off, a study leaves no descriptor
-        open, on an exception too: the exception, its traceback and the
+        """With the cyclic garbage collector off, a study leaves open only the
+        arena of multiprocessing's shared-memory heap, which holds the study's
+        task counter: the first study in a process maps it (two descriptors on
+        an unlinked ``pym-*`` file) and keeps it for the life of the process,
+        and every later study reuses it, so a second study leaves nothing
+        open.  On an exception too: the exception, its traceback and the
         study's frames form a cycle that would keep worker objects alive."""
+        def opened():
+            paths = {}
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(FileNotFoundError):  # the listing's own, closed by now
+                    paths[fd] = os.readlink(f"/proc/self/fd/{fd}")
+            return paths
+
+        def arena(paths):
+            return {fd: path for fd, path in paths.items()
+                    if os.path.basename(path).startswith("pym-")}
+
         gc.collect()
         gc.disable()
         try:
-            before = len(os.listdir("/proc/self/fd"))
+            before = opened()
             with pytest.raises(error) if error else contextlib.nullcontext():
                 self._study(monkeypatch, failure)
-            after = len(os.listdir("/proc/self/fd"))
+            first = opened()
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                self._study(monkeypatch, failure)
+            second = opened()
         finally:
             gc.enable()
-        assert after == before
+        added = {fd: path for fd, path in first.items() if before.get(fd) != path}
+        assert added == ({} if arena(before) else arena(first))
+        assert len(arena(first)) == 2
+        assert second == first
 
     @TWO_FORKED_WORKERS
     def test_worker_that_dies_after_a_record_raises_child_process_error(self, monkeypatch):
-        """A worker gone once it sent a record, before it takes its next task:
-        whether the parent's send finds the pipe broken or its receive finds
-        it ended, the study raises ``ChildProcessError``."""
-        def serve_once(tasks, k, conn):
-            conn.send(_run_replicate(*tasks[k]))
-            os._exit(4)
+        """Each worker runs one replicate and dies in its second, its first
+        record unsent: the study raises ``ChildProcessError``."""
+        ran = []  # each forked worker has its own copy
+
+        def once(*args):
+            if ran:
+                os._exit(4)
+            ran.append(args)
+            return _run_replicate(*args)
 
         monkeypatch.setenv("NETMOMENT_THREADS", "2")
-        monkeypatch.setattr(simulation, "_serve", serve_once)
+        monkeypatch.setattr(simulation, "_run_replicate", once)
         specs = [GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)]
         with pytest.raises(ChildProcessError, match="exited with code 4 before it sent its records"):
             run_mc_study(specs, 2)
         assert multiprocessing.active_children() == []
+
+    @TWO_FORKED_WORKERS
+    def test_worker_that_dies_while_it_sends_its_records_raises_child_process_error(
+            self, monkeypatch):
+        """A worker gone partway through its one message, with the length
+        header and part of the body written: the study raises
+        ``ChildProcessError``, not the ``OSError`` the cut message gives."""
+        def cut(tasks, counter, conn):
+            os.write(conn.fileno(), struct.pack("!i", 1000) + b"\x80\x04")
+            os._exit(9)
+
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+        monkeypatch.setattr(simulation, "_serve", cut)
+        specs = [GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)]
+        with pytest.raises(ChildProcessError, match="exited with code 9 before it sent its records"):
+            run_mc_study(specs, 2)
+        assert multiprocessing.active_children() == []
+
+    @TWO_FORKED_WORKERS
+    def test_parent_sends_its_workers_nothing(self, monkeypatch, tmp_path):
+        """In a two-worker study of 6 replicates the parent sends no message,
+        and each worker sends one: all its records."""
+        log, send = tmp_path / "sends", multiprocessing.connection.Connection.send
+
+        def logged(conn, obj):
+            with open(log, "a") as handle:  # appends from every process, the workers' too
+                size = len(obj) if isinstance(obj, list) else 1
+                handle.write(f"{os.getpid()} {type(obj).__name__} {size}\n")
+            send(conn, obj)
+
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", logged)
+        specs = [GenSpec(n=n, gamma_star=(0.4,), seed=n) for n in (16, 12)]
+        records = run_mc_study(specs, 3).records
+        sends = [line.split() for line in log.read_text().splitlines()]
+        assert [pid for pid, _, _ in sends].count(str(os.getpid())) == 0
+        assert len({pid for pid, _, _ in sends}) == len(sends) == 2
+        assert {kind for _, kind, _ in sends} == {"list"}
+        assert sum(int(count) for _, _, count in sends) == len(records) == 6
+
+    @TWO_FORKED_WORKERS
+    def test_workers_freeze_what_they_inherit(self, monkeypatch):
+        """Each worker freezes the objects it inherits, so that its collections
+        do not copy the parent's pages; the caller's collector is left as it was."""
+        def frozen(spec, replicate, config, spec_index):
+            return {"spec_index": spec_index, "n": spec.n, "replicate": replicate,
+                    "failed": True, "frozen": gc.get_freeze_count()}
+
+        monkeypatch.setenv("NETMOMENT_THREADS", "2")
+        monkeypatch.setattr(simulation, "_run_replicate", frozen)
+        records = run_mc_study([GenSpec(n=n, seed=n) for n in (16, 12)], 2).records
+        assert min(r["frozen"] for r in records) > 0
+        assert gc.get_freeze_count() == 0
 
     @TWO_FORKED_WORKERS
     @pytest.mark.parametrize("failure, error", [
